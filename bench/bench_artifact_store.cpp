@@ -10,7 +10,7 @@
 //    cache cleared (the post-restart cost). Target: >= 5x.
 //  * --populate <dir> compiles every configuration into <dir>;
 //    --serve <dir> then proves (exit status) that a *separate process*
-//    loads each stored artifact with zero compiler passes and serves
+//    loads each stored artifact with one artifact-load pass and serves
 //    outputs bit-identical to a from-scratch compile. CI runs the pair
 //    as its two-process cache-sharing smoke test.
 //

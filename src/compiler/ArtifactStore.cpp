@@ -429,7 +429,8 @@ bool readWork(Reader &R, WorkFunction &Out) {
   StmtList Body;
   if (!readStmts(R, Body, 0))
     return false;
-  if (Peek < 0 || Pop < 0 || Push < 0)
+  // The scheduler relies on every firing's window covering its pops.
+  if (Pop < 0 || Push < 0 || Peek < Pop)
     return false;
   Out = WorkFunction(Peek, Pop, Push, std::move(Body));
   return true;
@@ -559,7 +560,9 @@ StreamPtr readStream(Reader &R, int Depth) {
         return nullptr;
       F->setInitWork(std::move(Init));
     }
-    if (!R.ok())
+    // Lowering resolves names fatally; undefined ones make a bad payload.
+    if (!R.ok() || !tryResolve(F->work(), F->fields()).empty() ||
+        (F->initWork() && !tryResolve(*F->initWork(), F->fields()).empty()))
       return nullptr;
     return F;
   }
@@ -644,162 +647,6 @@ StreamPtr readStream(Reader &R, int Depth) {
   }
 }
 
-/// Filters in canonical DFS order (pipeline/splitjoin children in order,
-/// feedback body before loop) — identical on both sides of a round trip,
-/// so the flat graph can reference filters by index.
-void collectFilters(const Stream &S, std::vector<const Filter *> &Out) {
-  switch (S.kind()) {
-  case StreamKind::Filter:
-    Out.push_back(slin::cast<Filter>(&S));
-    return;
-  case StreamKind::Pipeline:
-    for (const StreamPtr &C : slin::cast<Pipeline>(&S)->children())
-      collectFilters(*C, Out);
-    return;
-  case StreamKind::SplitJoin:
-    for (const StreamPtr &C : slin::cast<SplitJoin>(&S)->children())
-      collectFilters(*C, Out);
-    return;
-  case StreamKind::FeedbackLoop: {
-    const auto *FB = slin::cast<FeedbackLoop>(&S);
-    collectFilters(FB->body(), Out);
-    collectFilters(FB->loop(), Out);
-    return;
-  }
-  }
-  unreachable("unknown stream kind");
-}
-
-//===----------------------------------------------------------------------===//
-// Flat graph serialization
-//===----------------------------------------------------------------------===//
-
-void writeFlatGraph(Writer &W, const flat::FlatGraph &G,
-                    const std::map<const Filter *, int> &FilterIdx) {
-  W.u32(static_cast<uint32_t>(G.Nodes.size()));
-  for (const flat::Node &N : G.Nodes) {
-    W.u8(static_cast<uint8_t>(N.Kind));
-    W.str(N.Name);
-    W.i32(N.F ? FilterIdx.at(N.F) : -1);
-    W.i32(N.In);
-    W.i32(N.Out);
-    W.ints(N.Ins);
-    W.ints(N.Outs);
-    W.ints(N.Weights);
-  }
-  W.u32(static_cast<uint32_t>(G.InitialItems.size()));
-  for (const std::vector<double> &Items : G.InitialItems)
-    W.f64s(Items);
-  W.i32(G.ExternalIn);
-  W.i32(G.ExternalOut);
-  W.boolean(G.RootProducesOutput);
-}
-
-bool channelInRange(int C, size_t NumChannels) {
-  return C >= -1 && C < static_cast<int>(NumChannels);
-}
-
-bool readFlatGraph(Reader &R, const std::vector<const Filter *> &Filters,
-                   flat::FlatGraph &Out) {
-  uint32_t NumNodes = R.u32();
-  if (!R.ok() || NumNodes > R.remaining()) {
-    R.fail();
-    return false;
-  }
-  Out.Nodes.resize(NumNodes);
-  for (flat::Node &N : Out.Nodes) {
-    uint8_t Kind = R.u8();
-    if (!R.ok() || Kind > static_cast<uint8_t>(flat::NodeKind::RRJoin)) {
-      R.fail();
-      return false;
-    }
-    N.Kind = static_cast<flat::NodeKind>(Kind);
-    N.Name = R.str();
-    int FIdx = R.i32();
-    N.In = R.i32();
-    N.Out = R.i32();
-    N.Ins = R.ints();
-    N.Outs = R.ints();
-    N.Weights = R.ints();
-    bool IsFilter = N.Kind == flat::NodeKind::Filter;
-    if (!R.ok() || FIdx < (IsFilter ? 0 : -1) || (!IsFilter && FIdx != -1) ||
-        (IsFilter && static_cast<size_t>(FIdx) >= Filters.size())) {
-      R.fail();
-      return false;
-    }
-    N.F = IsFilter ? Filters[static_cast<size_t>(FIdx)] : nullptr;
-  }
-  uint32_t NumChannels = R.u32();
-  if (!R.ok() || NumChannels > R.remaining()) {
-    R.fail();
-    return false;
-  }
-  Out.InitialItems.resize(NumChannels);
-  for (std::vector<double> &Items : Out.InitialItems)
-    Items = R.f64s();
-  Out.ExternalIn = R.i32();
-  Out.ExternalOut = R.i32();
-  Out.RootProducesOutput = R.boolean();
-  if (!R.ok())
-    return false;
-  // Every channel reference must be a real channel (the executors trust
-  // these indices).
-  for (const flat::Node &N : Out.Nodes) {
-    if (!channelInRange(N.In, NumChannels) ||
-        !channelInRange(N.Out, NumChannels))
-      return false;
-    for (int C : N.Ins)
-      if (!channelInRange(C, NumChannels))
-        return false;
-    for (int C : N.Outs)
-      if (!channelInRange(C, NumChannels))
-        return false;
-  }
-  return channelInRange(Out.ExternalIn, NumChannels) &&
-         channelInRange(Out.ExternalOut, NumChannels);
-}
-
-//===----------------------------------------------------------------------===//
-// Shard-info serialization
-//===----------------------------------------------------------------------===//
-
-void writeShardInfo(Writer &W, const CompiledProgram::ShardInfo &S) {
-  W.boolean(S.Shardable);
-  W.str(S.Reason);
-  W.i64(S.WashoutIterations);
-  W.u32(static_cast<uint32_t>(S.Seeds.size()));
-  for (const CompiledProgram::ShardInfo::FieldSeed &Seed : S.Seeds) {
-    W.i32(Seed.Node);
-    W.i32(Seed.Field);
-    W.f64(Seed.Base);
-    W.f64(Seed.DeltaFirst);
-    W.f64(Seed.DeltaRest);
-    W.f64(Seed.Modulus);
-  }
-}
-
-bool readShardInfo(Reader &R, CompiledProgram::ShardInfo &Out) {
-  Out.Shardable = R.boolean();
-  Out.Reason = R.str();
-  Out.WashoutIterations = R.i64();
-  uint32_t N = R.u32();
-  // Each seed occupies 40 bytes on the wire.
-  if (!R.ok() || static_cast<uint64_t>(N) * 40 > R.remaining()) {
-    R.fail();
-    return false;
-  }
-  Out.Seeds.resize(N);
-  for (CompiledProgram::ShardInfo::FieldSeed &Seed : Out.Seeds) {
-    Seed.Node = R.i32();
-    Seed.Field = R.i32();
-    Seed.Base = R.f64();
-    Seed.DeltaFirst = R.f64();
-    Seed.DeltaRest = R.f64();
-    Seed.Modulus = R.f64();
-  }
-  return R.ok();
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -815,132 +662,22 @@ bool slin::serializeProgram(Writer &W, const CompiledProgram &P) {
   W.i32(BatchIterations);
   W.i32(Workers);
   W.i64(ShardMinIterations);
-
-  if (!writeStream(W, P.root()))
-    return false;
-
-  std::vector<const Filter *> Filters;
-  collectFilters(P.root(), Filters);
-  std::map<const Filter *, int> FilterIdx;
-  for (size_t I = 0; I != Filters.size(); ++I)
-    FilterIdx[Filters[I]] = static_cast<int>(I);
-
-  writeFlatGraph(W, P.graph(), FilterIdx);
-  serializeSchedule(W, P.schedule());
-
-  // Per-node compiled forms. Native prototypes live in the stream tree;
-  // here they are just marked so the loader rewires the pointer.
-  for (size_t I = 0; I != P.graph().Nodes.size(); ++I) {
-    const flat::Node &N = P.graph().Nodes[I];
-    if (N.Kind != flat::NodeKind::Filter) {
-      W.u8(0);
-      continue;
-    }
-    const CompiledProgram::FilterArtifact &A = P.filterArtifact(I);
-    if (A.Native) {
-      W.u8(1);
-      continue;
-    }
-    W.u8(A.InitWork.empty() ? 2 : 3);
-    A.Work.serialize(W);
-    if (!A.InitWork.empty())
-      A.InitWork.serialize(W);
-  }
-
-  writeShardInfo(W, P.shardInfo());
-  return true;
+  return writeStream(W, P.root());
 }
 
 std::shared_ptr<const CompiledProgram> slin::deserializeProgram(Reader &R) {
   ensureBuiltinFactories();
-  CompiledProgram::Parts Parts;
-
-  auto &Opts = Parts.Opts;
+  CompiledOptions Opts;
   Opts.BatchIterations = R.i32();
   Opts.Parallel.Workers = R.i32();
   Opts.Parallel.ShardMinIterations = R.i64();
   if (!R.ok() || Opts.BatchIterations < 1)
     return nullptr;
-
-  Parts.Root = readStream(R, 0);
-  if (!Parts.Root)
+  StreamPtr Root = readStream(R, 0);
+  if (!Root || !R.ok() || !R.atEnd())
     return nullptr;
-
-  std::vector<const Filter *> Filters;
-  collectFilters(*Parts.Root, Filters);
-
-  if (!readFlatGraph(R, Filters, Parts.Graph))
-    return nullptr;
-  if (!deserializeSchedule(R, Parts.Sched))
-    return nullptr;
-
-  const size_t NumNodes = Parts.Graph.Nodes.size();
-  const size_t NumChannels = Parts.Graph.numChannels();
-  // The schedule's per-node and per-channel tables must match the graph
-  // (the executors index them without checks).
-  if (Parts.Sched.Repetitions.size() != NumNodes ||
-      Parts.Sched.InitFirings.size() != NumNodes ||
-      Parts.Sched.ChannelHighWater.size() != NumChannels ||
-      Parts.Sched.ChannelBufSize.size() != NumChannels ||
-      Parts.Sched.PostInitLive.size() != NumChannels)
-    return nullptr;
-  auto ValidSteps = [&](const FiringProgram &P) {
-    for (const FiringStep &S : P)
-      if (S.Node < 0 || static_cast<size_t>(S.Node) >= NumNodes ||
-          S.Count < 0)
-        return false;
-    return true;
-  };
-  if (!ValidSteps(Parts.Sched.InitProgram) ||
-      !ValidSteps(Parts.Sched.SteadyProgram) ||
-      !ValidSteps(Parts.Sched.BatchProgram))
-    return nullptr;
-
-  Parts.Artifacts.resize(NumNodes);
-  for (size_t I = 0; I != NumNodes; ++I) {
-    const flat::Node &N = Parts.Graph.Nodes[I];
-    uint8_t Form = R.u8();
-    if (!R.ok())
-      return nullptr;
-    bool IsFilter = N.Kind == flat::NodeKind::Filter;
-    if (Form == 0) {
-      if (IsFilter)
-        return nullptr;
-      continue;
-    }
-    if (!IsFilter)
-      return nullptr;
-    CompiledProgram::FilterArtifact &A = Parts.Artifacts[I];
-    if (Form == 1) {
-      if (!N.F->isNative())
-        return nullptr;
-      A.Native = &N.F->native();
-      continue;
-    }
-    if (Form > 3 || N.F->isNative())
-      return nullptr;
-    if (!wir::OpProgram::deserialize(R, A.Work))
-      return nullptr;
-    if (Form == 3 && !wir::OpProgram::deserialize(R, A.InitWork))
-      return nullptr;
-  }
-
-  if (!readShardInfo(R, Parts.Shard))
-    return nullptr;
-  for (const CompiledProgram::ShardInfo::FieldSeed &Seed :
-       Parts.Shard.Seeds) {
-    if (Seed.Node < 0 || static_cast<size_t>(Seed.Node) >= NumNodes)
-      return nullptr;
-    const flat::Node &N = Parts.Graph.Nodes[static_cast<size_t>(Seed.Node)];
-    if (N.Kind != flat::NodeKind::Filter || N.F->isNative() ||
-        Seed.Field < 0 ||
-        static_cast<size_t>(Seed.Field) >= N.F->fields().size())
-      return nullptr;
-  }
-
-  if (!R.ok() || !R.atEnd())
-    return nullptr;
-  return std::make_shared<const CompiledProgram>(std::move(Parts));
+  auto Program = CompiledProgram::lowerLoaded(std::move(Root), Opts);
+  return Program ? Program.take() : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -951,7 +688,7 @@ namespace {
 
 constexpr uint64_t ArtifactMagic = 0x315452414E494C53ULL; // "SLINART1"
 constexpr uint64_t AliasMagic = 0x3159454B4E494C53ULL;    // "SLINKEY1"
-constexpr uint32_t FormatVersion = 1;
+constexpr uint32_t FormatVersion = 2;
 
 struct GlobalStore {
   std::mutex Mutex;

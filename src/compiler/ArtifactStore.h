@@ -29,10 +29,16 @@
 /// front doors report failures as support/Error.h Statuses; the
 /// bool/pointer forms wrap them and degrade to the memory tier.
 ///
+/// An artifact holds only what lowering cannot derive: the engine
+/// options and the optimized stream tree (work IR, fields, native
+/// prototypes). The flat graph, static schedule, op tapes and shard
+/// metadata are recomputed on load by the same lowering a fresh compile
+/// runs, so no derived data is ever trusted from disk.
+///
 /// Alias records map a *pipeline-level* key (pre-optimization structural
 /// hash + the full pipeline configuration) to an artifact key, letting a
-/// warm process skip every compiler pass — analysis, selection,
-/// replacement and lowering — not just the lowering half.
+/// warm process skip analysis, selection and replacement — the costly
+/// compiler passes — and rerun only the cheap lowering.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -218,16 +224,16 @@ void registerNativeFilterFactory(const std::string &Tag,
 // Raw program serialization (store-independent; tests use this directly)
 //===----------------------------------------------------------------------===//
 
-/// Writes the complete artifact payload: engine options, the optimized
-/// stream (work IR, fields, native prototypes), the flat graph, the
-/// static schedule, every op tape, and the shard-boundary metadata.
-/// Returns false when a native filter is not serializable (\p W is then
-/// partially written; discard it).
+/// Writes the artifact payload: the engine options and the optimized
+/// stream (work IR, fields, native prototypes). Returns false when a
+/// native filter is not serializable (\p W is then partially written;
+/// discard it).
 bool serializeProgram(serial::Writer &W, const CompiledProgram &P);
 
-/// Rebuilds a program from payload bytes; null on malformed input. The
-/// result reports loadedFromArtifact() and zero BuildStats — no compiler
-/// pass runs.
+/// Decodes the payload and lowers the tree (CompiledProgram::lowerLoaded);
+/// null on malformed input, including a well-formed tree that has no
+/// valid steady state or schedule. The result reports
+/// loadedFromArtifact(); no analysis or selection pass runs.
 std::shared_ptr<const CompiledProgram> deserializeProgram(serial::Reader &R);
 
 } // namespace slin

@@ -101,11 +101,11 @@ std::string analysisNote(const LinearAnalysis &LA) {
 /// Pipeline-level persistent cache key: the *pre-optimization* structure
 /// plus every configuration knob that shapes what the passes produce. A
 /// warm process that resolves this key through the artifact store's
-/// alias records skips analysis, selection, replacement AND lowering —
-/// the "zero compiler passes" load path. Returns false when the
-/// configuration cannot be keyed: no compiled artifact requested, the
-/// program cache bypassed, dump-after-pass side effects wanted, or a
-/// cost model that does not content-hash.
+/// alias records skips analysis, selection and replacement, recording a
+/// single artifact-load pass (which reruns the cheap lowering). Returns
+/// false when the configuration cannot be keyed: no compiled artifact
+/// requested, the program cache bypassed, dump-after-pass side effects
+/// wanted, or a cost model that does not content-hash.
 bool pipelineAliasKey(const Stream &Root, const PipelineOptions &Opts,
                       HashDigest &Out) {
   // Destructured for the same compile-time exhaustiveness guarantee as
@@ -401,7 +401,8 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
     if (Opts.VerifyAfterEachPass) {
       // Cross-check the freshly computed static schedule against an
       // independent replay (cache and artifact hits were verified when
-      // first compiled, and disk loads are checksum-validated).
+      // first compiled; disk loads rerun the same lowering on the same
+      // checksum-validated tree).
       std::string Err = runPass(R, "verify-schedule", [&] {
         return verifySchedule(R.Program->graph(), R.Program->schedule());
       });

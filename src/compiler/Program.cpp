@@ -4,6 +4,8 @@
 
 #include "compiler/ArtifactStore.h"
 #include "compiler/StructuralHash.h"
+#include "sched/Rates.h"
+#include "support/Diag.h"
 #include "support/StatsRegistry.h"
 
 #include <chrono>
@@ -20,30 +22,43 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Flattens with timing (member-initializer helper).
-FlatGraph flattenTimed(const Stream &Root, double &Seconds) {
-  auto Start = std::chrono::steady_clock::now();
-  FlatGraph G(Root);
-  Seconds = secondsSince(Start);
-  return G;
-}
-
-StaticSchedule scheduleTimed(const FlatGraph &G, int BatchIterations,
-                             double &Seconds) {
-  auto Start = std::chrono::steady_clock::now();
-  StaticSchedule S = computeSchedule(G, BatchIterations);
-  Seconds = secondsSince(Start);
-  return S;
-}
-
 } // namespace
 
+CompiledProgram::CompiledProgram(StreamPtr Root, CompiledOptions Opts,
+                                 bool FromArtifact)
+    : Opts(Opts), Root(std::move(Root)), FromArtifact(FromArtifact) {}
+
 CompiledProgram::CompiledProgram(const Stream &Root, CompiledOptions Opts)
-    : Opts(Opts), Root(Root.clone()),
-      Graph(flattenTimed(*this->Root, Stats.FlattenSeconds)),
-      Sched(scheduleTimed(Graph, Opts.BatchIterations,
-                          Stats.ScheduleSeconds)) {
+    : CompiledProgram(Root.clone(), Opts, /*FromArtifact=*/false) {
+  if (Status St = lower(); !St)
+    fatalError(St.message());
+}
+
+Expected<std::shared_ptr<const CompiledProgram>>
+CompiledProgram::lowerLoaded(StreamPtr Root, CompiledOptions Opts) {
+  std::shared_ptr<CompiledProgram> P(
+      new CompiledProgram(std::move(Root), Opts, /*FromArtifact=*/true));
+  if (Status St = P->lower(); !St)
+    return St;
+  return std::shared_ptr<const CompiledProgram>(std::move(P));
+}
+
+Status CompiledProgram::lower() {
+  // Flattening assumes a tree with a steady state; check it first.
+  if (Expected<RateSignature> R = tryComputeRates(*Root); !R)
+    return R.status();
   auto Start = std::chrono::steady_clock::now();
+  Graph = FlatGraph(*Root);
+  Stats.FlattenSeconds = secondsSince(Start);
+
+  Start = std::chrono::steady_clock::now();
+  Expected<StaticSchedule> S = tryComputeSchedule(Graph, Opts.BatchIterations);
+  if (!S)
+    return S.status();
+  Sched = S.take();
+  Stats.ScheduleSeconds = secondsSince(Start);
+
+  Start = std::chrono::steady_clock::now();
   Artifacts.resize(Graph.Nodes.size());
   for (size_t I = 0; I != Graph.Nodes.size(); ++I) {
     const Node &N = Graph.Nodes[I];
@@ -59,13 +74,8 @@ CompiledProgram::CompiledProgram(const Stream &Root, CompiledOptions Opts)
       A.InitWork = wir::OpProgram::compile(*IW, N.F->fields());
   }
   Stats.TapeSeconds = secondsSince(Start);
-  computeShardInfo();
+  return Status::ok();
 }
-
-CompiledProgram::CompiledProgram(Parts P)
-    : Opts(P.Opts), Root(std::move(P.Root)), Graph(std::move(P.Graph)),
-      Sched(std::move(P.Sched)), Artifacts(std::move(P.Artifacts)),
-      Shard(std::move(P.Shard)), FromArtifact(true) {}
 
 //===----------------------------------------------------------------------===//
 // Shard feasibility
@@ -82,7 +92,7 @@ bool exactlyIntegral(double V) {
 
 } // namespace
 
-void CompiledProgram::computeShardInfo() {
+void CompiledProgram::computeShardInfo() const {
   auto Fail = [&](std::string Why) {
     Shard.Shardable = false;
     Shard.Reason = std::move(Why);

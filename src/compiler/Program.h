@@ -5,7 +5,7 @@
 /// engine — everything the compile pipeline can precompute once and many
 /// executor instances can share:
 ///
-///  * a private clone of the (optimized) stream graph, owning the filter
+///  * a private copy of the (optimized) stream graph, owning the filter
 ///    definitions the flat graph points into;
 ///  * the flattened topology (exec/FlatGraph.h);
 ///  * the static schedule: init/steady/batch firing programs and exact
@@ -19,6 +19,11 @@
 /// one program concurrently. ProgramCache hash-conses programs under
 /// (structural hash of the stream, engine options); recompiling a
 /// structurally identical configuration is a map lookup.
+///
+/// Everything but the stream graph and the options is derived: a stored
+/// artifact persists only those two, and loading it reruns the lowering
+/// below (lowerLoaded), which is cheap next to the analysis and
+/// selection passes that produced the graph.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,9 +64,9 @@ public:
 
   /// Whether (and how) the parallel backend may split a run of this
   /// program into independently-executed shards of steady iterations
-  /// (exec/Parallel.h). Computed once at compile time from the op tapes'
-  /// state classification (wir::SteadyStateInfo), the native filters'
-  /// stateDepthFirings() and the schedule's washout depth.
+  /// (exec/Parallel.h). Derived from the op tapes' state classification
+  /// (wir::SteadyStateInfo), the native filters' stateDepthFirings() and
+  /// the schedule's washout depth.
   struct ShardInfo {
     bool Shardable = false;
     std::string Reason; ///< why not, when !Shardable
@@ -86,25 +91,17 @@ public:
   };
 
   /// Compiles \p Root (cloning it first; the clone is owned by the
-  /// artifact and outlives every executor instantiated from it).
+  /// artifact and outlives every executor instantiated from it). Reports
+  /// a fatal error when \p Root has no valid steady state or schedule.
   CompiledProgram(const Stream &Root, CompiledOptions Opts);
 
-  /// The deserialized pieces of a persisted program
-  /// (compiler/ArtifactStore.h): everything the compiling constructor
-  /// would have produced, reassembled without running any lowering pass.
-  struct Parts {
-    CompiledOptions Opts;
-    StreamPtr Root;
-    flat::FlatGraph Graph;
-    StaticSchedule Sched;
-    std::vector<FilterArtifact> Artifacts;
-    ShardInfo Shard;
-  };
-
-  /// Adopts deserialized parts. BuildStats stay zero and
-  /// loadedFromArtifact() reports true — the assertion hook for "zero
-  /// compiler passes executed" tests.
-  explicit CompiledProgram(Parts P);
+  /// The same lowering over a tree decoded from a stored artifact
+  /// (compiler/ArtifactStore.h), adopted rather than cloned. A tree that
+  /// cannot be lowered — no steady state, an unschedulable graph — comes
+  /// back as a Status instead of an abort. The result reports
+  /// loadedFromArtifact().
+  static Expected<std::shared_ptr<const CompiledProgram>>
+  lowerLoaded(StreamPtr Root, CompiledOptions Opts);
 
   CompiledProgram(const CompiledProgram &) = delete;
   CompiledProgram &operator=(const CompiledProgram &) = delete;
@@ -114,7 +111,13 @@ public:
   const StaticSchedule &schedule() const { return Sched; }
   const CompiledOptions &options() const { return Opts; }
   const BuildStats &buildStats() const { return Stats; }
-  const ShardInfo &shardInfo() const { return Shard; }
+  /// Derived on first use: only the parallel backend and the linter
+  /// read it, so compiles and artifact loads for the other engines skip
+  /// the tape state analysis.
+  const ShardInfo &shardInfo() const {
+    std::call_once(ShardOnce, [this] { computeShardInfo(); });
+    return Shard;
+  }
 
   /// True when this program was reassembled from a stored artifact
   /// rather than compiled in this process.
@@ -126,17 +129,20 @@ public:
   }
 
 private:
-  void computeShardInfo();
+  CompiledProgram(StreamPtr Root, CompiledOptions Opts, bool FromArtifact);
+
+  /// Flatten, schedule and tape-compile Root.
+  Status lower();
+  void computeShardInfo() const;
 
   CompiledOptions Opts;
-  /// Declared before Graph/Sched: their member initializers record phase
-  /// timings into it.
   BuildStats Stats;
   StreamPtr Root;
   flat::FlatGraph Graph;
   StaticSchedule Sched;
   std::vector<FilterArtifact> Artifacts; ///< indexed by node; filters only
-  ShardInfo Shard;
+  mutable std::once_flag ShardOnce;
+  mutable ShardInfo Shard;
   bool FromArtifact = false;
 };
 

@@ -70,8 +70,7 @@ struct Node {
 struct FlatGraph {
   explicit FlatGraph(const Stream &Root);
 
-  /// Empty graph, filled in by artifact deserialization
-  /// (compiler/ArtifactStore.cpp) rather than by flattening.
+  /// Empty graph (a CompiledProgram member before lowering assigns it).
   FlatGraph() = default;
 
   std::vector<Node> Nodes;

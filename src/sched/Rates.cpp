@@ -23,36 +23,26 @@ struct RateErr {
   }
 };
 
-RateSignature ratesOf(const Stream &S, RateErr &E);
-std::vector<int64_t> repsOf(const Stream &Container, RateErr &E);
+RateSignature solve(const Stream &S, RateErr &E, std::vector<int64_t> &Reps);
 
-/// Scales a vector of positive rationals to the minimal integer vector
-/// with the same ratios.
+/// Aggregate rates of \p S alone (its own child repetitions dropped).
+RateSignature ratesOf(const Stream &S, RateErr &E) {
+  std::vector<int64_t> Reps;
+  return solve(S, E, Reps);
+}
+
+/// Balance-equation step shared by every container: minimal positive
+/// integers proportional to \p Rats.
 std::vector<int64_t> toMinimalIntegers(const std::vector<Rational> &Rats,
                                        RateErr &E) {
-  int64_t DenLcm = 1;
-  for (const Rational &R : Rats) {
-    if (R.num() <= 0) {
-      E.set("non-positive repetition count while solving rates");
-      return {};
-    }
-    DenLcm = lcm64(DenLcm, R.den());
-  }
   std::vector<int64_t> Ints;
-  Ints.reserve(Rats.size());
-  int64_t NumGcd = 0;
-  for (const Rational &R : Rats) {
-    int64_t V = R.num() * (DenLcm / R.den());
-    Ints.push_back(V);
-    NumGcd = gcd64(NumGcd, V);
-  }
-  if (NumGcd > 1)
-    for (int64_t &V : Ints)
-      V /= NumGcd;
+  if (!slin::toMinimalIntegers(Rats, Ints))
+    E.set("non-positive repetition count while solving rates");
   return Ints;
 }
 
-std::vector<int64_t> pipelineRepetitions(const Pipeline &P, RateErr &E) {
+RateSignature solvePipeline(const Pipeline &P, RateErr &E,
+                            std::vector<int64_t> &Out) {
   const auto &Children = P.children();
   if (Children.empty()) {
     E.set("empty pipeline '" + P.name() + "'");
@@ -60,7 +50,8 @@ std::vector<int64_t> pipelineRepetitions(const Pipeline &P, RateErr &E) {
   }
   std::vector<Rational> Reps;
   Reps.push_back(Rational(1));
-  RateSignature Prev = ratesOf(*Children.front(), E);
+  RateSignature First = ratesOf(*Children.front(), E);
+  RateSignature Prev = First;
   for (size_t I = 1; I != Children.size() && !E.failed(); ++I) {
     RateSignature Cur = ratesOf(*Children[I], E);
     if (E.failed())
@@ -80,7 +71,14 @@ std::vector<int64_t> pipelineRepetitions(const Pipeline &P, RateErr &E) {
   }
   if (E.failed())
     return {};
-  return toMinimalIntegers(Reps, E);
+  Out = toMinimalIntegers(Reps, E);
+  if (E.failed())
+    return {};
+  RateSignature R;
+  R.Pop = mulSat64(First.Pop, Out.front());
+  R.Peek = addSat64(R.Pop, First.Peek - First.Pop);
+  R.Push = mulSat64(Prev.Push, Out.back());
+  return R;
 }
 
 bool nonNegativeWeights(const std::vector<int> &Weights) {
@@ -90,7 +88,8 @@ bool nonNegativeWeights(const std::vector<int> &Weights) {
   return true;
 }
 
-std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ, RateErr &E) {
+RateSignature solveSplitJoin(const SplitJoin &SJ, RateErr &E,
+                             std::vector<int64_t> &Out) {
   const auto &Children = SJ.children();
   size_t N = Children.size();
   if (N == 0) {
@@ -131,15 +130,6 @@ std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ, RateErr &E) {
     // r_k proportional to w_k / u_k.
     for (size_t K = 0; K != N; ++K)
       Reps[K] = Rational(Join.Weights[K], Rates[K].Push);
-  } else if (Split.Kind == Splitter::RoundRobin) {
-    for (size_t K = 0; K != N; ++K) {
-      if (Rates[K].Pop == 0) {
-        E.set("splitjoin '" + SJ.name() +
-              "': child neither consumes nor produces");
-        return {};
-      }
-      Reps[K] = Rational(Split.Weights[K], Rates[K].Pop);
-    }
   } else {
     for (size_t K = 0; K != N; ++K) {
       if (Rates[K].Pop == 0) {
@@ -147,7 +137,9 @@ std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ, RateErr &E) {
               "': child neither consumes nor produces");
         return {};
       }
-      Reps[K] = Rational(1, Rates[K].Pop);
+      int64_t Share =
+          Split.Kind == Splitter::RoundRobin ? Split.Weights[K] : 1;
+      Reps[K] = Rational(Share, Rates[K].Pop);
     }
   }
 
@@ -185,16 +177,13 @@ std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ, RateErr &E) {
       }
     }
   }
-  if (AllPush) {
-    // Joiner already used; nothing further to check.
-  } else {
+  if (!AllPush) // (the joiner side was used for derivation otherwise)
     for (size_t K = 0; K != N; ++K)
       if ((Rates[K].Push == 0) != (Join.Weights[K] == 0)) {
         E.set("splitjoin '" + SJ.name() +
               "': joiner weight for non-producing child");
         return {};
       }
-  }
 
   // The minimal vector balances the children against each other, but a
   // steady state must also run the splitter and joiner for a whole
@@ -223,11 +212,40 @@ std::vector<int64_t> splitJoinRepetitions(const SplitJoin &SJ, RateErr &E) {
   if (Scale > 1)
     for (int64_t &V : Ints)
       V *= Scale;
-  return Ints;
+  Out = std::move(Ints);
+
+  RateSignature R;
+  for (size_t K = 0; K != N; ++K)
+    R.Push = addSat64(R.Push, mulSat64(Rates[K].Push, Out[K]));
+  if (Split.Kind == Splitter::Duplicate) {
+    int64_t Consumed = 0;
+    for (size_t K = 0; K != N; ++K) {
+      Consumed = mulSat64(Rates[K].Pop, Out[K]);
+      R.Peek = std::max(R.Peek,
+                        addSat64(Consumed, Rates[K].Peek - Rates[K].Pop));
+    }
+    R.Pop = Consumed;
+  } else {
+    // Roundrobin: one splitter cycle distributes totalWeight items.
+    int64_t VTot = Split.totalWeight();
+    int64_t SplitRep = 0;
+    int64_t ExtraPeek = 0;
+    for (size_t K = 0; K != N; ++K) {
+      if (Split.Weights[K] == 0)
+        continue;
+      SplitRep = mulSat64(Rates[K].Pop, Out[K]) / Split.Weights[K];
+      ExtraPeek = std::max(ExtraPeek, Rates[K].Peek - Rates[K].Pop);
+    }
+    R.Pop = mulSat64(SplitRep, VTot);
+    // Approximation: extra peeking by a child requires up to a full
+    // extra splitter cycle of lookahead per extra item window.
+    R.Peek = addSat64(R.Pop, ExtraPeek > 0 ? mulSat64(ExtraPeek, VTot) : 0);
+  }
+  return R;
 }
 
-std::vector<int64_t> feedbackLoopRepetitions(const FeedbackLoop &FB,
-                                             RateErr &E) {
+RateSignature solveFeedbackLoop(const FeedbackLoop &FB, RateErr &E,
+                                std::vector<int64_t> &Out) {
   RateSignature Body = ratesOf(FB.body(), E);
   RateSignature Loop = ratesOf(FB.loop(), E);
   if (E.failed())
@@ -267,24 +285,23 @@ std::vector<int64_t> feedbackLoopRepetitions(const FeedbackLoop &FB,
     E.set("feedbackloop '" + FB.name() + "': inconsistent loop rates");
     return {};
   }
-  return toMinimalIntegers({B, L}, E);
-}
-
-std::vector<int64_t> repsOf(const Stream &Container, RateErr &E) {
-  switch (Container.kind()) {
-  case StreamKind::Filter:
+  Out = toMinimalIntegers({B, L}, E);
+  if (E.failed())
     return {};
-  case StreamKind::Pipeline:
-    return pipelineRepetitions(*cast<Pipeline>(&Container), E);
-  case StreamKind::SplitJoin:
-    return splitJoinRepetitions(*cast<SplitJoin>(&Container), E);
-  case StreamKind::FeedbackLoop:
-    return feedbackLoopRepetitions(*cast<FeedbackLoop>(&Container), E);
-  }
-  unreachable("unknown stream kind");
+
+  int64_t JoinCycles = mulSat64(Body.Pop, Out[0]) / Join.totalWeight();
+  int64_t SplitCycles = mulSat64(Body.Push, Out[0]) / Split.totalWeight();
+  RateSignature R;
+  R.Pop = Join.Weights[0] * JoinCycles;
+  R.Peek = R.Pop;
+  R.Push = Split.Weights[0] * SplitCycles;
+  return R;
 }
 
-RateSignature ratesOf(const Stream &S, RateErr &E) {
+/// The single bottom-up pass: every child's signature is derived exactly
+/// once, and both the container's signature and its child repetitions
+/// \p Reps come from those — linear in the size of the tree.
+RateSignature solve(const Stream &S, RateErr &E, std::vector<int64_t> &Reps) {
   if (E.failed())
     return {};
   switch (S.kind()) {
@@ -292,79 +309,12 @@ RateSignature ratesOf(const Stream &S, RateErr &E) {
     const auto *F = cast<Filter>(&S);
     return {F->peekRate(), F->popRate(), F->pushRate()};
   }
-  case StreamKind::Pipeline: {
-    const auto *P = cast<Pipeline>(&S);
-    std::vector<int64_t> Reps = repsOf(S, E);
-    if (E.failed())
-      return {};
-    RateSignature First = ratesOf(*P->children().front(), E);
-    RateSignature Last = ratesOf(*P->children().back(), E);
-    if (E.failed())
-      return {};
-    RateSignature R;
-    R.Pop = mulSat64(First.Pop, Reps.front());
-    R.Peek = addSat64(R.Pop, First.Peek - First.Pop);
-    R.Push = mulSat64(Last.Push, Reps.back());
-    return R;
-  }
-  case StreamKind::SplitJoin: {
-    const auto *SJ = cast<SplitJoin>(&S);
-    std::vector<int64_t> Reps = repsOf(S, E);
-    if (E.failed())
-      return {};
-    const auto &Children = SJ->children();
-    RateSignature R;
-    R.Push = 0;
-    for (size_t K = 0; K != Children.size(); ++K)
-      R.Push = addSat64(R.Push,
-                        mulSat64(ratesOf(*Children[K], E).Push, Reps[K]));
-
-    if (SJ->splitter().Kind == Splitter::Duplicate) {
-      int64_t MaxPeek = 0;
-      int64_t Consumed = 0;
-      for (size_t K = 0; K != Children.size(); ++K) {
-        RateSignature C = ratesOf(*Children[K], E);
-        Consumed = mulSat64(C.Pop, Reps[K]);
-        MaxPeek = std::max(MaxPeek, addSat64(Consumed, C.Peek - C.Pop));
-      }
-      R.Pop = Consumed;
-      R.Peek = MaxPeek;
-    } else {
-      // Roundrobin: one splitter cycle distributes totalWeight items.
-      int64_t VTot = SJ->splitter().totalWeight();
-      int64_t SplitRep = 0;
-      int64_t ExtraPeek = 0;
-      for (size_t K = 0; K != Children.size(); ++K) {
-        if (SJ->splitter().Weights[K] == 0)
-          continue;
-        RateSignature C = ratesOf(*Children[K], E);
-        SplitRep = mulSat64(C.Pop, Reps[K]) / SJ->splitter().Weights[K];
-        ExtraPeek = std::max(ExtraPeek, C.Peek - C.Pop);
-      }
-      R.Pop = mulSat64(SplitRep, VTot);
-      // Approximation: extra peeking by a child requires up to a full
-      // extra splitter cycle of lookahead per extra item window.
-      R.Peek =
-          addSat64(R.Pop, ExtraPeek > 0 ? mulSat64(ExtraPeek, VTot) : 0);
-    }
-    return R;
-  }
-  case StreamKind::FeedbackLoop: {
-    const auto *FB = cast<FeedbackLoop>(&S);
-    std::vector<int64_t> Reps = repsOf(S, E);
-    if (E.failed())
-      return {};
-    RateSignature Body = ratesOf(FB->body(), E);
-    int64_t JoinCycles =
-        mulSat64(Body.Pop, Reps[0]) / FB->joiner().totalWeight();
-    int64_t SplitCycles =
-        mulSat64(Body.Push, Reps[0]) / FB->splitter().totalWeight();
-    RateSignature R;
-    R.Pop = FB->joiner().Weights[0] * JoinCycles;
-    R.Peek = R.Pop;
-    R.Push = FB->splitter().Weights[0] * SplitCycles;
-    return R;
-  }
+  case StreamKind::Pipeline:
+    return solvePipeline(*cast<Pipeline>(&S), E, Reps);
+  case StreamKind::SplitJoin:
+    return solveSplitJoin(*cast<SplitJoin>(&S), E, Reps);
+  case StreamKind::FeedbackLoop:
+    return solveFeedbackLoop(*cast<FeedbackLoop>(&S), E, Reps);
   }
   unreachable("unknown stream kind");
 }
@@ -386,7 +336,8 @@ Expected<RateSignature> slin::tryComputeRates(const Stream &S) {
 Expected<std::vector<int64_t>>
 slin::tryChildRepetitions(const Stream &Container) {
   RateErr E;
-  std::vector<int64_t> R = repsOf(Container, E);
+  std::vector<int64_t> R;
+  solve(Container, E, R);
   if (E.failed())
     return Status(ErrorCode::RateError, E.Msg);
   return R;

@@ -3,9 +3,10 @@
 /// \file
 /// Balance-equation solver over the hierarchical stream graph (Section
 /// 3.3.1, after Karczmarek [20]): per-container child repetition counts
-/// and aggregate peek/pop/push signatures for whole sub-streams. The
-/// combination transformations and the optimization-selection DP both
-/// consume these.
+/// and aggregate peek/pop/push signatures for whole sub-streams, both
+/// from one bottom-up pass that derives each sub-stream's signature once
+/// (linear in the size of the tree). The combination transformations,
+/// the optimization-selection DP and lowering all consume these.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,7 +4,6 @@
 
 #include "support/Diag.h"
 #include "support/MathUtil.h"
-#include "support/Serialize.h"
 
 #include <algorithm>
 #include <limits>
@@ -61,29 +60,6 @@ int64_t rateOn(const std::vector<ChannelUse> &Uses, int Chan) {
   return 0;
 }
 
-/// Scales rationals to the minimal positive integer vector with the same
-/// ratios (mirrors the hierarchical solver in Rates.cpp).
-std::vector<int64_t> toMinimalIntegers(const std::vector<Rational> &Rats) {
-  int64_t DenLcm = 1;
-  for (const Rational &R : Rats) {
-    if (R.num() <= 0)
-      fatalError("non-positive repetition count while solving flat rates");
-    DenLcm = lcm64(DenLcm, R.den());
-  }
-  std::vector<int64_t> Ints;
-  Ints.reserve(Rats.size());
-  int64_t NumGcd = 0;
-  for (const Rational &R : Rats) {
-    int64_t V = R.num() * (DenLcm / R.den());
-    Ints.push_back(V);
-    NumGcd = gcd64(NumGcd, V);
-  }
-  if (NumGcd > 1)
-    for (int64_t &V : Ints)
-      V /= NumGcd;
-  return Ints;
-}
-
 /// Cumulative items consumed from \p Chan by the first \p T firings of
 /// node \p I (the first firing of an init-work filter uses init rates).
 int64_t cumPops(const std::vector<NodeRates> &NR, size_t I, int Chan,
@@ -123,8 +99,8 @@ int64_t minFiringsToPush(const std::vector<NodeRates> &NR, size_t I, int Chan,
 // Steady-state repetitions on the flat graph
 //===----------------------------------------------------------------------===//
 
-static std::vector<int64_t> flatRepetitions(const FlatGraph &G,
-                                            const std::vector<NodeRates> &NR) {
+static Expected<std::vector<int64_t>>
+flatRepetitions(const FlatGraph &G, const std::vector<NodeRates> &NR) {
   size_t NumNodes = G.Nodes.size();
   std::vector<int> Producer(G.numChannels(), -1), Consumer(G.numChannels(), -1);
   for (size_t I = 0; I != NumNodes; ++I) {
@@ -137,6 +113,7 @@ static std::vector<int64_t> flatRepetitions(const FlatGraph &G,
   std::vector<Rational> Reps(NumNodes, Rational(0));
   std::vector<bool> Visited(NumNodes, false);
   std::vector<int64_t> Result(NumNodes, 0);
+  std::string Err; // first balance violation
 
   // Propagate balance constraints within each connected component, then
   // scale that component to minimal integers.
@@ -146,7 +123,7 @@ static std::vector<int64_t> flatRepetitions(const FlatGraph &G,
     std::vector<size_t> Component, Work = {Start};
     Visited[Start] = true;
     Reps[Start] = Rational(1);
-    while (!Work.empty()) {
+    while (!Work.empty() && Err.empty()) {
       size_t I = Work.back();
       Work.pop_back();
       Component.push_back(I);
@@ -159,16 +136,18 @@ static std::vector<int64_t> flatRepetitions(const FlatGraph &G,
         int64_t O = rateOn(NR[static_cast<size_t>(C)].Pops, Chan);
         if (U == 0 && O == 0)
           return;
-        if (U == 0 || O == 0)
-          fatalError("no steady state: channel between '" +
-                     G.Nodes[static_cast<size_t>(P)].Name + "' and '" +
-                     G.Nodes[static_cast<size_t>(C)].Name +
-                     "' moves data in only one direction");
+        if (U == 0 || O == 0) {
+          Err = "no steady state: channel between '" +
+                G.Nodes[static_cast<size_t>(P)].Name + "' and '" +
+                G.Nodes[static_cast<size_t>(C)].Name +
+                "' moves data in only one direction";
+          return;
+        }
         size_t PS = static_cast<size_t>(P), CS = static_cast<size_t>(C);
         if (Visited[PS] && Visited[CS]) {
           if (!(Reps[PS] * Rational(U) == Reps[CS] * Rational(O)))
-            fatalError("no steady state: inconsistent rates between '" +
-                       G.Nodes[PS].Name + "' and '" + G.Nodes[CS].Name + "'");
+            Err = "no steady state: inconsistent rates between '" +
+                  G.Nodes[PS].Name + "' and '" + G.Nodes[CS].Name + "'";
           return;
         }
         if (Visited[PS]) {
@@ -186,11 +165,16 @@ static std::vector<int64_t> flatRepetitions(const FlatGraph &G,
       for (const ChannelUse &Use : NR[I].Pushes)
         Relax(Use.Chan);
     }
+    if (!Err.empty())
+      return Status(ErrorCode::RateError, Err);
     std::vector<Rational> CompReps;
     CompReps.reserve(Component.size());
     for (size_t I : Component)
       CompReps.push_back(Reps[I]);
-    std::vector<int64_t> Ints = toMinimalIntegers(CompReps);
+    std::vector<int64_t> Ints;
+    if (!toMinimalIntegers(CompReps, Ints))
+      return Status(ErrorCode::RateError,
+                    "non-positive repetition count while solving flat rates");
     for (size_t K = 0; K != Component.size(); ++K)
       Result[Component[K]] = Ints[K];
   }
@@ -205,8 +189,8 @@ static std::vector<int64_t> flatRepetitions(const FlatGraph &G,
 /// demands: every init-work filter fires at least once, and every channel
 /// must end the init phase holding at least its consumer's steady
 /// peek - pop lookahead.
-static std::vector<int64_t> initFiringCounts(const FlatGraph &G,
-                                             const std::vector<NodeRates> &NR) {
+static Expected<std::vector<int64_t>>
+initFiringCounts(const FlatGraph &G, const std::vector<NodeRates> &NR) {
   size_t NumNodes = G.Nodes.size();
   std::vector<int64_t> T(NumNodes, 0);
   for (size_t I = 0; I != NumNodes; ++I)
@@ -240,10 +224,11 @@ static std::vector<int64_t> initFiringCounts(const FlatGraph &G,
         int64_t Req =
             minFiringsToPush(NR, static_cast<size_t>(P), Use.Chan, Need);
         if (Req < 0)
-          fatalError("cannot schedule initialization: '" +
-                     G.Nodes[static_cast<size_t>(P)].Name +
-                     "' can never satisfy the lookahead of '" +
-                     G.Nodes[C].Name + "'");
+          return Status(ErrorCode::RateError,
+                        "cannot schedule initialization: '" +
+                            G.Nodes[static_cast<size_t>(P)].Name +
+                            "' can never satisfy the lookahead of '" +
+                            G.Nodes[C].Name + "'");
         if (Req > T[static_cast<size_t>(P)]) {
           T[static_cast<size_t>(P)] = Req;
           Changed = true;
@@ -253,8 +238,9 @@ static std::vector<int64_t> initFiringCounts(const FlatGraph &G,
     if (!Changed)
       return T;
   }
-  fatalError("cannot schedule initialization: channel demands do not "
-             "converge (deadlocked feedback loop?)");
+  return Status(ErrorCode::RateError,
+                "cannot schedule initialization: channel demands do not "
+                "converge (deadlocked feedback loop?)");
 }
 
 //===----------------------------------------------------------------------===//
@@ -343,9 +329,9 @@ struct SimState {
   }
 
   /// Greedily schedules \p Remaining firings per node; appends steps.
-  /// Fatal if the graph deadlocks before all firings are placed.
-  void schedule(std::vector<int64_t> Remaining, FiringProgram &Program,
-                const char *Phase) {
+  /// Fails if the graph deadlocks before all firings are placed.
+  Status schedule(std::vector<int64_t> Remaining, FiringProgram &Program,
+                  const char *Phase) {
     bool AnyLeft = true;
     while (AnyLeft) {
       AnyLeft = false;
@@ -368,9 +354,11 @@ struct SimState {
           AnyLeft = true;
       }
       if (AnyLeft && !AnyFired)
-        fatalError(std::string("cannot schedule ") + Phase +
-                   " program: no node can fire (deadlocked graph?)");
+        return Status(ErrorCode::RateError,
+                      std::string("cannot schedule ") + Phase +
+                          " program: no node can fire (deadlocked graph?)");
     }
+    return Status::ok();
   }
 };
 
@@ -381,14 +369,31 @@ struct SimState {
 //===----------------------------------------------------------------------===//
 
 StaticSchedule slin::computeSchedule(const FlatGraph &G, int BatchIterations) {
+  Expected<StaticSchedule> S = tryComputeSchedule(G, BatchIterations);
+  if (!S)
+    fatalError(S.status().message());
+  return S.take();
+}
+
+Expected<StaticSchedule> slin::tryComputeSchedule(const FlatGraph &G,
+                                                  int BatchIterations) {
+  auto Fail = [](std::string Msg) {
+    return Status(ErrorCode::RateError, std::move(Msg));
+  };
   if (BatchIterations < 1)
-    fatalError("batch iteration count must be positive");
+    return Fail("batch iteration count must be positive");
   std::vector<NodeRates> NR = computeNodeRates(G);
 
   StaticSchedule S;
   S.BatchIterations = BatchIterations;
-  S.Repetitions = flatRepetitions(G, NR);
-  S.InitFirings = initFiringCounts(G, NR);
+  Expected<std::vector<int64_t>> Reps = flatRepetitions(G, NR);
+  if (!Reps)
+    return Reps.status();
+  S.Repetitions = Reps.take();
+  Expected<std::vector<int64_t>> Init = initFiringCounts(G, NR);
+  if (!Init)
+    return Init.status();
+  S.InitFirings = Init.take();
 
   // Lookahead the first consumer of the external input requires beyond
   // what it pops (leftover items that must stay buffered), and the
@@ -410,7 +415,9 @@ StaticSchedule slin::computeSchedule(const FlatGraph &G, int BatchIterations) {
 
   // Init program.
   Sim.beginProgram();
-  Sim.schedule(S.InitFirings, S.InitProgram, "initialization");
+  if (Status St = Sim.schedule(S.InitFirings, S.InitProgram, "initialization");
+      !St)
+    return St;
   S.InitExternalPops = Sim.ExternalPops;
   S.InitExternalNeed =
       std::max(Sim.ExternalPops + ExternalExtra, InitPeekMax);
@@ -426,7 +433,8 @@ StaticSchedule slin::computeSchedule(const FlatGraph &G, int BatchIterations) {
   for (size_t I = 0; I != G.Nodes.size(); ++I)
     Remaining[I] = S.Repetitions[I] * BatchIterations;
   Sim.beginProgram();
-  Sim.schedule(Remaining, S.BatchProgram, "batch");
+  if (Status St = Sim.schedule(Remaining, S.BatchProgram, "batch"); !St)
+    return St;
   S.BatchExternalPops = Sim.ExternalPops;
   S.BatchExternalNeed = Sim.ExternalPops + ExternalExtra;
   S.BatchExternalPushes = Sim.ExternalPushes;
@@ -438,15 +446,16 @@ StaticSchedule slin::computeSchedule(const FlatGraph &G, int BatchIterations) {
   for (size_t C = 0; C != G.numChannels(); ++C) {
     BatchBuf[C] = S.PostInitLive[C] + Sim.Pushes[C];
     if (!IsExternal(C) && Sim.Count[C] != S.PostInitLive[C])
-      fatalError("batch program does not return channel '" +
-                 std::to_string(C) + "' to its steady state");
+      return Fail("batch program does not return channel '" +
+                  std::to_string(C) + "' to its steady state");
   }
 
   // Single steady program (tail iterations), from the same post-init state.
   for (size_t I = 0; I != G.Nodes.size(); ++I)
     Remaining[I] = S.Repetitions[I];
   Sim.beginProgram();
-  Sim.schedule(Remaining, S.SteadyProgram, "steady");
+  if (Status St = Sim.schedule(Remaining, S.SteadyProgram, "steady"); !St)
+    return St;
   S.SteadyExternalPops = Sim.ExternalPops;
   S.SteadyExternalNeed = Sim.ExternalPops + ExternalExtra;
   S.SteadyExternalPushes = Sim.ExternalPushes;
@@ -457,8 +466,8 @@ StaticSchedule slin::computeSchedule(const FlatGraph &G, int BatchIterations) {
     S.ChannelBufSize[C] =
         std::max(InitBuf[C], std::max(BatchBuf[C], SteadyBuf));
     if (!IsExternal(C) && Sim.Count[C] != S.PostInitLive[C])
-      fatalError("steady program does not return channel '" +
-                 std::to_string(C) + "' to its steady state");
+      return Fail("steady program does not return channel '" +
+                  std::to_string(C) + "' to its steady state");
   }
   return S;
 }
@@ -548,83 +557,4 @@ ShardBoundary slin::computeShardBoundary(
   B.Feasible = true;
   B.WashoutIterations = Washout;
   return B;
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void writeProgram(serial::Writer &W, const FiringProgram &P) {
-  W.u32(static_cast<uint32_t>(P.size()));
-  for (const FiringStep &S : P) {
-    W.i32(S.Node);
-    W.i64(S.Count);
-  }
-}
-
-bool readProgram(serial::Reader &R, FiringProgram &Out) {
-  uint32_t N = R.u32();
-  // Each step occupies 12 bytes on the wire.
-  if (!R.ok() || static_cast<uint64_t>(N) * 12 > R.remaining()) {
-    R.fail();
-    return false;
-  }
-  Out.resize(N);
-  for (FiringStep &S : Out) {
-    S.Node = R.i32();
-    S.Count = R.i64();
-  }
-  return R.ok();
-}
-
-} // namespace
-
-void slin::serializeSchedule(serial::Writer &W, const StaticSchedule &S) {
-  W.i64s(S.Repetitions);
-  W.i64s(S.InitFirings);
-  writeProgram(W, S.InitProgram);
-  writeProgram(W, S.SteadyProgram);
-  writeProgram(W, S.BatchProgram);
-  W.i32(S.BatchIterations);
-  W.i64s(S.ChannelHighWater);
-  W.i64s(S.ChannelBufSize);
-  W.i64s(S.PostInitLive);
-  W.i64(S.InitExternalPops);
-  W.i64(S.InitExternalNeed);
-  W.i64(S.SteadyExternalPops);
-  W.i64(S.SteadyExternalNeed);
-  W.i64(S.BatchExternalPops);
-  W.i64(S.BatchExternalNeed);
-  W.i64(S.InitExternalPushes);
-  W.i64(S.SteadyExternalPushes);
-  W.i64(S.BatchExternalPushes);
-}
-
-bool slin::deserializeSchedule(serial::Reader &R, StaticSchedule &Out) {
-  StaticSchedule S;
-  S.Repetitions = R.i64s();
-  S.InitFirings = R.i64s();
-  if (!readProgram(R, S.InitProgram) || !readProgram(R, S.SteadyProgram) ||
-      !readProgram(R, S.BatchProgram))
-    return false;
-  S.BatchIterations = R.i32();
-  S.ChannelHighWater = R.i64s();
-  S.ChannelBufSize = R.i64s();
-  S.PostInitLive = R.i64s();
-  S.InitExternalPops = R.i64();
-  S.InitExternalNeed = R.i64();
-  S.SteadyExternalPops = R.i64();
-  S.SteadyExternalNeed = R.i64();
-  S.BatchExternalPops = R.i64();
-  S.BatchExternalNeed = R.i64();
-  S.InitExternalPushes = R.i64();
-  S.SteadyExternalPushes = R.i64();
-  S.BatchExternalPushes = R.i64();
-  if (!R.ok() || S.BatchIterations < 1 ||
-      S.Repetitions.size() != S.InitFirings.size())
-    return false;
-  Out = std::move(S);
-  return true;
 }

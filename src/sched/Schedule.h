@@ -26,6 +26,7 @@
 #define SLIN_SCHED_SCHEDULE_H
 
 #include "exec/FlatGraph.h"
+#include "support/Error.h"
 
 #include <cstdint>
 #include <vector>
@@ -89,23 +90,18 @@ struct StaticSchedule {
   int64_t BatchExternalPushes = 0;
 };
 
-namespace serial {
-class Writer;
-class Reader;
-} // namespace serial
-
-/// Binary persistence of a schedule (support/Serialize.h): every field,
-/// including the shard-boundary inputs (PostInitLive, high-water marks),
-/// so a loaded program allocates and fires exactly like a fresh one.
-void serializeSchedule(serial::Writer &W, const StaticSchedule &S);
-bool deserializeSchedule(serial::Reader &R, StaticSchedule &Out);
-
 /// Computes the static schedule of \p G with \p BatchIterations steady
 /// states per batch program. Reports a fatal error for graphs without a
 /// valid steady state or whose initialization cannot be scheduled
 /// (deadlocked feedback loops).
 StaticSchedule computeSchedule(const flat::FlatGraph &G,
                                int BatchIterations = 16);
+
+/// Non-fatal variant behind computeSchedule: the same failures come back
+/// as a Status (ErrorCode::RateError) — the artifact loader lowers trees
+/// read from disk and must turn an unschedulable one into a miss.
+Expected<StaticSchedule> tryComputeSchedule(const flat::FlatGraph &G,
+                                            int BatchIterations);
 
 /// Shard-boundary state computation for the parallel backend
 /// (exec/Parallel.h). A worker reconstructs the runtime state at steady

@@ -16,6 +16,7 @@
 #include <cassert>
 #include <cstdint>
 #include <numeric>
+#include <vector>
 
 namespace slin {
 
@@ -93,6 +94,31 @@ private:
   int64_t Num = 0;
   int64_t Den = 1;
 };
+
+/// Scales \p Rats to the minimal integer vector with the same ratios —
+/// the last step of every balance-equation solve. Returns false (with
+/// \p Out untouched) when some rational is not positive.
+inline bool toMinimalIntegers(const std::vector<Rational> &Rats,
+                              std::vector<int64_t> &Out) {
+  int64_t DenLcm = 1;
+  for (const Rational &R : Rats) {
+    if (R.num() <= 0)
+      return false;
+    DenLcm = lcm64(DenLcm, R.den());
+  }
+  std::vector<int64_t> Ints;
+  Ints.reserve(Rats.size());
+  int64_t NumGcd = 0;
+  for (const Rational &R : Rats) {
+    Ints.push_back(R.num() * (DenLcm / R.den()));
+    NumGcd = gcd64(NumGcd, Ints.back());
+  }
+  if (NumGcd > 1)
+    for (int64_t &V : Ints)
+      V /= NumGcd;
+  Out = std::move(Ints);
+  return true;
+}
 
 } // namespace slin
 

@@ -61,16 +61,6 @@ public:
     for (double D : V)
       f64(D);
   }
-  void i64s(const std::vector<int64_t> &V) {
-    u32(static_cast<uint32_t>(V.size()));
-    for (int64_t D : V)
-      i64(D);
-  }
-  void i32s(const std::vector<int32_t> &V) {
-    u32(static_cast<uint32_t>(V.size()));
-    for (int32_t D : V)
-      i32(D);
-  }
   void ints(const std::vector<int> &V) {
     u32(static_cast<uint32_t>(V.size()));
     for (int D : V)
@@ -148,8 +138,6 @@ public:
     return std::string(reinterpret_cast<const char *>(P + Pos - Len), Len);
   }
   std::vector<double> f64s() { return readVec<double, 8>([this] { return f64(); }); }
-  std::vector<int64_t> i64s() { return readVec<int64_t, 8>([this] { return i64(); }); }
-  std::vector<int32_t> i32s() { return readVec<int32_t, 4>([this] { return i32(); }); }
   std::vector<int> ints() { return readVec<int, 4>([this] { return i32(); }); }
   std::vector<std::string> strs() {
     uint32_t Count = u32();

@@ -79,11 +79,11 @@ struct TapeSummary {
   bool faulted() const { return !Faults.empty(); }
 };
 
-/// Structural well-formedness of a (possibly deserialized, possibly
-/// corrupted) tape against its own frame metadata and \p Fields: operand
-/// register ranges, field/array slot ranges, immediate peek offsets,
-/// intrinsic ids, jump targets. Violations are appended to \p Faults;
-/// returns true when the tape is safe to (abstractly) execute.
+/// Structural well-formedness of a (possibly corrupted) tape against its
+/// own frame metadata and \p Fields: operand register ranges, field/array
+/// slot ranges, immediate peek offsets, intrinsic ids, jump targets.
+/// Violations are appended to \p Faults; returns true when the tape is
+/// safe to (abstractly) execute.
 bool checkWellFormed(const wir::OpProgram &P,
                      const std::vector<wir::FieldDef> &Fields,
                      std::vector<TapeFault> &Faults);

@@ -123,11 +123,16 @@ public:
   Resolver(const WorkFunction &Work, const std::vector<FieldDef> &Fields)
       : Work(Work), Fields(Fields) {}
 
-  void run() {
+  /// Resolves the body; returns the first error (empty on success, and
+  /// only then is the work function marked resolved).
+  std::string run() {
     resolveBody(Work.Body);
-    Work.NumScalarSlots = static_cast<int>(Scalars.size());
-    Work.NumArraySlots = static_cast<int>(Arrays.size());
-    Work.Resolved = true;
+    if (Err.empty()) {
+      Work.NumScalarSlots = static_cast<int>(Scalars.size());
+      Work.NumArraySlots = static_cast<int>(Arrays.size());
+      Work.Resolved = true;
+    }
+    return Err;
   }
 
 private:
@@ -157,14 +162,14 @@ private:
         resolveExpr(*F->Index);
       resolveExpr(*F->Value);
       F->FieldIndex = lookupField(F->Name, F->Index != nullptr);
-      if (!Fields[F->FieldIndex].IsMutable)
-        fatalError("assignment to non-mutable field '" + F->Name + "'");
+      if (F->FieldIndex >= 0 && !Fields[F->FieldIndex].IsMutable)
+        fail("assignment to non-mutable field '" + F->Name + "'");
       return;
     }
     case StmtKind::LocalArray: {
       const auto *L = cast<LocalArrayStmt>(&S);
       if (Arrays.count(L->Name) || Scalars.count(L->Name))
-        fatalError("redeclaration of local '" + L->Name + "'");
+        return fail("redeclaration of local '" + L->Name + "'");
       int Slot = static_cast<int>(Arrays.size());
       Arrays[L->Name] = Slot;
       L->Slot = Slot;
@@ -209,7 +214,7 @@ private:
       const auto *V = cast<VarRefExpr>(&E);
       auto It = Scalars.find(V->Name);
       if (It == Scalars.end())
-        fatalError("use of undefined variable '" + V->Name + "'");
+        return fail("use of undefined variable '" + V->Name + "'");
       V->Slot = It->second;
       return;
     }
@@ -246,8 +251,10 @@ private:
   }
 
   int defineScalar(const std::string &Name) {
-    if (Arrays.count(Name))
-      fatalError("'" + Name + "' used both as scalar and array");
+    if (Arrays.count(Name)) {
+      fail("'" + Name + "' used both as scalar and array");
+      return -1;
+    }
     auto It = Scalars.find(Name);
     if (It != Scalars.end())
       return It->second;
@@ -258,8 +265,10 @@ private:
 
   int lookupArray(const std::string &Name) {
     auto It = Arrays.find(Name);
-    if (It == Arrays.end())
-      fatalError("use of undeclared array '" + Name + "'");
+    if (It == Arrays.end()) {
+      fail("use of undeclared array '" + Name + "'");
+      return -1;
+    }
     return It->second;
   }
 
@@ -267,25 +276,41 @@ private:
     for (size_t I = 0, E = Fields.size(); I != E; ++I) {
       if (Fields[I].Name != Name)
         continue;
-      if (Fields[I].IsArray != Indexed)
-        fatalError("field '" + Name + "' " +
-                   (Indexed ? "is not an array" : "requires an index"));
+      if (Fields[I].IsArray != Indexed) {
+        fail("field '" + Name + "' " +
+             (Indexed ? "is not an array" : "requires an index"));
+        return -1;
+      }
       return static_cast<int>(I);
     }
-    fatalError("use of undefined field '" + Name + "'");
+    fail("use of undefined field '" + Name + "'");
+    return -1;
+  }
+
+  void fail(std::string Msg) {
+    if (Err.empty())
+      Err = std::move(Msg);
   }
 
   const WorkFunction &Work;
   const std::vector<FieldDef> &Fields;
   std::unordered_map<std::string, int> Scalars;
   std::unordered_map<std::string, int> Arrays;
+  std::string Err; ///< first error; later ones are consequences
 };
 
 } // namespace
 
 void wir::resolve(const WorkFunction &Work,
                   const std::vector<FieldDef> &Fields) {
-  Resolver(Work, Fields).run();
+  std::string Err = Resolver(Work, Fields).run();
+  if (!Err.empty())
+    fatalError(Err);
+}
+
+std::string wir::tryResolve(const WorkFunction &Work,
+                            const std::vector<FieldDef> &Fields) {
+  return Resolver(Work, Fields).run();
 }
 
 //===----------------------------------------------------------------------===//

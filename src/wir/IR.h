@@ -388,6 +388,12 @@ struct WorkFunction {
 /// used as an array (or vice versa), or assignment to a non-mutable field.
 void resolve(const WorkFunction &Work, const std::vector<FieldDef> &Fields);
 
+/// Non-fatal variant for work functions decoded from untrusted bytes (the
+/// artifact loader): returns the error message resolve() would abort
+/// with, or an empty string once \p Work is resolved.
+std::string tryResolve(const WorkFunction &Work,
+                       const std::vector<FieldDef> &Fields);
+
 /// Renders the work function as StreamIt-like text (for debugging and
 /// golden tests).
 std::string print(const WorkFunction &Work);

@@ -4,7 +4,6 @@
 
 #include "support/Diag.h"
 #include "support/OpCounters.h"
-#include "support/Serialize.h"
 
 #include <array>
 #include <cmath>
@@ -475,8 +474,7 @@ void OpProgram::prepareFrame(WorkFrame &F) const {
 #ifndef NDEBUG
   // Debug builds re-check register and slot operands against the frame
   // layout before the first firing — the dispatch loop indexes raw
-  // arrays with them unchecked. (Deserialized tapes additionally go
-  // through the verify/ linter's structural checks.)
+  // arrays with them unchecked.
   for (const Inst &I : Code) {
     switch (I.K) {
     case Op::LoadFld:
@@ -1297,82 +1295,4 @@ OpProgram::analyzeSteadyState(const std::vector<FieldDef> &Fields) const {
 
   Info.Reconstructable = true;
   return Info;
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-void OpProgram::serialize(serial::Writer &W) const {
-  W.u32(static_cast<uint32_t>(Code.size()));
-  for (const Inst &I : Code) {
-    W.u8(static_cast<uint8_t>(I.K));
-    W.u8(static_cast<uint8_t>((I.Counted ? 1 : 0) | (I.IntIdx ? 2 : 0)));
-    W.i32(I.A);
-    W.i32(I.B);
-    W.i32(I.C);
-    W.i32(I.D);
-    W.f64(I.Imm);
-  }
-  W.i32s(ArrBase);
-  W.i32s(ArrDeclSize);
-  W.strs(ArrNames);
-  W.strs(FieldNames);
-  W.i32(NumRegs);
-  W.i32(ArrStoreSize);
-  W.i32(PeekRate);
-  W.i32(PopRate);
-  W.i32(PushRate);
-}
-
-bool OpProgram::deserialize(serial::Reader &R, OpProgram &Out) {
-  OpProgram P;
-  uint32_t N = R.u32();
-  // Each instruction occupies 26 bytes on the wire.
-  if (!R.ok() || static_cast<uint64_t>(N) * 26 > R.remaining()) {
-    R.fail();
-    return false;
-  }
-  P.Code.resize(N);
-  for (Inst &I : P.Code) {
-    uint8_t K = R.u8();
-    uint8_t Flags = R.u8();
-    if (K > static_cast<uint8_t>(Op::Halt) || Flags > 3) {
-      R.fail();
-      return false;
-    }
-    I.K = static_cast<Op>(K);
-    I.Counted = (Flags & 1) != 0;
-    I.IntIdx = (Flags & 2) != 0;
-    I.A = R.i32();
-    I.B = R.i32();
-    I.C = R.i32();
-    I.D = R.i32();
-    I.Imm = R.f64();
-    // Control flow must stay on the tape (the dispatch loop trusts pc).
-    int32_t Target = I.K == Op::Jump ? I.A
-                     : I.K == Op::JumpIfZero || I.K == Op::IncJump ? I.B
-                     : I.K == Op::JumpIfGe ? I.C
-                                           : 0;
-    if (Target < 0 || static_cast<uint32_t>(Target) >= N) {
-      R.fail();
-      return false;
-    }
-  }
-  P.ArrBase = R.i32s();
-  P.ArrDeclSize = R.i32s();
-  P.ArrNames = R.strs();
-  P.FieldNames = R.strs();
-  P.NumRegs = R.i32();
-  P.ArrStoreSize = R.i32();
-  P.PeekRate = R.i32();
-  P.PopRate = R.i32();
-  P.PushRate = R.i32();
-  if (!R.ok() || P.NumRegs < 0 || P.ArrStoreSize < 0 || P.PeekRate < 0 ||
-      P.PopRate < 0 || P.PushRate < 0 ||
-      P.ArrBase.size() != P.ArrDeclSize.size() ||
-      P.ArrBase.size() != P.ArrNames.size())
-    return false;
-  Out = std::move(P);
-  return true;
 }

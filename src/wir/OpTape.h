@@ -35,11 +35,6 @@
 
 namespace slin {
 
-namespace serial {
-class Writer;
-class Reader;
-} // namespace serial
-
 namespace wir {
 
 enum class Op : uint8_t {
@@ -192,14 +187,6 @@ public:
   /// \p Fields must be the field list the program was compiled against.
   SteadyStateInfo analyzeSteadyState(const std::vector<FieldDef> &Fields) const;
 
-  /// Binary persistence (support/Serialize.h): instructions and frame
-  /// metadata are written verbatim, so a loaded program executes the
-  /// exact instruction sequence — and reports the exact FLOP taxonomy —
-  /// the compiler produced. deserialize() rejects out-of-range opcodes
-  /// and inconsistent frame metadata (returns false; \p Out untouched).
-  void serialize(serial::Writer &W) const;
-  static bool deserialize(serial::Reader &R, OpProgram &Out);
-
   /// Executes one firing. \p In points at peek(0) (null for source
   /// filters); \p Out receives exactly pushRate() values; \p Printed
   /// collects print statements. \p State must match the field list the
@@ -227,6 +214,9 @@ private:
   /// emitted code must replicate frame metadata (register/array sizing,
   /// bounds-diagnostic names) exactly, not just the instruction list.
   friend class CxxTapeEmitter;
+  /// Test-only: the linter's mutation corpus (tests/verify_test.cpp)
+  /// corrupts compiled tapes in place to check that every finding fires.
+  friend struct OpProgramTestAccess;
 };
 
 } // namespace wir

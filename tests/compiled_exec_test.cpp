@@ -95,6 +95,13 @@ TEST(ScheduleDeath, DeadlockedFeedbackLoopIsFatal) {
       Splitter::roundRobin({1, 1}), std::vector<double>{});
   flat::FlatGraph G(*FB);
   EXPECT_DEATH(computeSchedule(G, 4), "cannot schedule");
+
+  // The non-fatal form (the artifact loader's) returns the same failure.
+  Expected<StaticSchedule> S = tryComputeSchedule(G, 4);
+  ASSERT_FALSE(S);
+  EXPECT_EQ(S.status().code(), ErrorCode::RateError);
+  EXPECT_NE(S.status().message().find("cannot schedule"), std::string::npos)
+      << S.status().str();
 }
 
 //===----------------------------------------------------------------------===//

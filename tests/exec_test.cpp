@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 using namespace slin;
 using namespace slin::testing_helpers;
 
@@ -107,6 +109,83 @@ TEST(Sched, SplitJoinWholeCycleAlignment) {
   RateSignature R = computeRates(SJ);
   EXPECT_EQ(R.Pop, 32);
   EXPECT_EQ(R.Push, 8);
+}
+
+// A 30-deep nest cycling pipeline -> splitjoin -> feedback loop, outermost
+// first. Each level solves its child once; a solver that re-derives child
+// signatures for both the repetitions and the aggregate (3x per
+// pipeline/splitjoin level, 2x per feedback level) would make ~3^20 * 2^10
+// calls here. Levels keep (pop, push) at (3, 2) or (2, 1):
+//   pipeline  {inner, copy}                          (o, u) -> (o, u)
+//   splitjoin rr(o, 1) {inner, copy} rr(u, 1)        (o, u) -> (o+1, u+1)
+//   feedback  join(o-1, 1) inner split(u-1, 1) copy  (o, u) -> (o-1, u-1)
+TEST(Sched, DeepNestRatesInLinearTime) {
+  using namespace slin::wir;
+  using namespace slin::wir::build;
+  auto Copy = [] {
+    return std::make_unique<Filter>(
+        "copy", std::vector<FieldDef>{},
+        WorkFunction(1, 1, 1, stmts(push(pop()))));
+  };
+  constexpr int Depth = 30;
+  StreamPtr Inner = std::make_unique<Filter>(
+      "leaf", std::vector<FieldDef>{},
+      WorkFunction(3, 3, 2, stmts(push(pop()), push(pop()), popStmt())));
+  RateSignature In{3, 3, 2};
+  std::vector<const Stream *> Levels(Depth);
+  for (int L = Depth - 1; L >= 0; --L) {
+    StreamPtr Outer;
+    switch (L % 3) {
+    case 0: {
+      auto P = std::make_unique<Pipeline>("p" + std::to_string(L));
+      P->add(std::move(Inner));
+      P->add(Copy());
+      Outer = std::move(P);
+      break;
+    }
+    case 1: {
+      auto SJ = std::make_unique<SplitJoin>(
+          "sj" + std::to_string(L),
+          Splitter::roundRobin({static_cast<int>(In.Pop), 1}),
+          Joiner::roundRobin({static_cast<int>(In.Push), 1}));
+      SJ->add(std::move(Inner));
+      SJ->add(Copy());
+      Outer = std::move(SJ);
+      In = {In.Pop + 1, In.Pop + 1, In.Push + 1};
+      break;
+    }
+    default:
+      Outer = std::make_unique<FeedbackLoop>(
+          "fb" + std::to_string(L),
+          Joiner::roundRobin({static_cast<int>(In.Pop) - 1, 1}),
+          std::move(Inner), Copy(),
+          Splitter::roundRobin({static_cast<int>(In.Push) - 1, 1}),
+          std::vector<double>{0});
+      In = {In.Pop - 1, In.Pop - 1, In.Push - 1};
+      break;
+    }
+    Levels[static_cast<size_t>(L)] = Outer.get();
+    Inner = std::move(Outer);
+  }
+
+  auto Start = std::chrono::steady_clock::now();
+  RateSignature R = computeRates(*Inner);
+  std::vector<std::vector<int64_t>> Reps;
+  for (const Stream *S : Levels)
+    Reps.push_back(childRepetitions(*S));
+  double Ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - Start)
+                  .count();
+  EXPECT_LT(Ms, 50.0);
+
+  EXPECT_EQ(R.Peek, 3);
+  EXPECT_EQ(R.Pop, 3);
+  EXPECT_EQ(R.Push, 2);
+  for (int L = 0; L != Depth; ++L)
+    EXPECT_EQ(Reps[static_cast<size_t>(L)],
+              (L % 3 == 0 ? std::vector<int64_t>{1, 2}
+                          : std::vector<int64_t>{1, 1}))
+        << "level " << L;
 }
 
 TEST(SchedDeath, UnbalancedFeedbackLoopIsFatal) {

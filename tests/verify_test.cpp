@@ -17,7 +17,6 @@
 #include "compiler/StructuralHash.h"
 #include "linear/Extract.h"
 #include "support/FaultInjection.h"
-#include "support/Serialize.h"
 #include "verify/AbstractInterp.h"
 #include "verify/Lint.h"
 
@@ -29,7 +28,19 @@
 using namespace slin;
 using namespace slin::verify;
 
+/// The test-only friend wir/OpTape.h declares: in-place access to a
+/// copy of a compiled tape, so the mutation corpus can corrupt exactly
+/// one operand, opcode or declared rate.
+namespace slin::wir {
+struct OpProgramTestAccess {
+  static std::vector<Inst> &code(OpProgram &P) { return P.Code; }
+  static int &popRate(OpProgram &P) { return P.PopRate; }
+};
+} // namespace slin::wir
+
 namespace {
+
+using Patch = wir::OpProgramTestAccess;
 
 //===----------------------------------------------------------------------===//
 // Helpers
@@ -51,34 +62,6 @@ int findFilter(const CompiledProgram &P, const std::string &Sub) {
         G.Nodes[I].Name.find(Sub) != std::string::npos)
       return static_cast<int>(I);
   return -1;
-}
-
-/// Serialized wire image of one tape (support/Serialize.h layout:
-/// u32 count, then 26 bytes per instruction — K at +0, flags at +1,
-/// A/B/C/D at +2/+6/+10/+14, Imm at +18 — then the frame trailer ending
-/// with PeekRate, PopRate, PushRate as the last three i32s).
-std::vector<uint8_t> tapeBytes(const wir::OpProgram &T) {
-  serial::Writer W;
-  T.serialize(W);
-  return W.bytes();
-}
-
-/// Byte offset of instruction \p I's field at intra-instruction offset
-/// \p At (0 = opcode, 2 = A, 6 = B, 10 = C, 14 = D, 18 = Imm).
-size_t instOffset(size_t I, size_t At) { return 4 + I * 26 + At; }
-
-void patchI32(std::vector<uint8_t> &Bytes, size_t Off, int32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Bytes[Off + static_cast<size_t>(I)] =
-        static_cast<uint8_t>(static_cast<uint32_t>(V) >> (8 * I));
-}
-
-/// Deserializes a (possibly patched) wire image; Ok reports acceptance.
-wir::OpProgram reload(const std::vector<uint8_t> &Bytes, bool &Ok) {
-  serial::Reader R(Bytes);
-  wir::OpProgram Out;
-  Ok = wir::OpProgram::deserialize(R, Out) && R.ok();
-  return Out;
 }
 
 /// Index of the first instruction with opcode \p K; -1 when absent.
@@ -207,13 +190,10 @@ TEST(MutationCorpus, OffByOnePeekIsFlaggedAtItsOffset) {
   ASSERT_GE(Pc, 0);
   int Window = std::max(Clean.peekRate(), Clean.popRate());
 
-  std::vector<uint8_t> Bytes = tapeBytes(Clean);
   // PeekImm's window offset is operand B: one past the window is the
   // classic off-by-one.
-  patchI32(Bytes, instOffset(static_cast<size_t>(Pc), 6), Window);
-  bool Ok = false;
-  wir::OpProgram Bad = reload(Bytes, Ok);
-  ASSERT_TRUE(Ok) << "patch must survive deserialization to reach the linter";
+  wir::OpProgram Bad = Clean;
+  Patch::code(Bad)[static_cast<size_t>(Pc)].B = Window;
 
   LintReport R;
   lintTapeBounds(Bad, F.node().F->fields(), "FloatDiff", R);
@@ -235,12 +215,8 @@ TEST(MutationCorpus, WrongPopRateIsFlagged) {
   DiffFixture F;
   ASSERT_GE(F.Node, 0);
   const wir::OpProgram &Clean = F.tape();
-  std::vector<uint8_t> Bytes = tapeBytes(Clean);
-  // The frame trailer ends ... PeekRate, PopRate, PushRate.
-  patchI32(Bytes, Bytes.size() - 8, Clean.popRate() + 1);
-  bool Ok = false;
-  wir::OpProgram Bad = reload(Bytes, Ok);
-  ASSERT_TRUE(Ok);
+  wir::OpProgram Bad = Clean;
+  Patch::popRate(Bad) = Clean.popRate() + 1;
   ASSERT_EQ(Bad.popRate(), Clean.popRate() + 1);
 
   LintReport R;
@@ -256,13 +232,9 @@ TEST(MutationCorpus, NonlinearOpInjectionIsFlagged) {
   int Pc = findOp(Clean, wir::Op::Sub);
   ASSERT_GE(Pc, 0);
 
-  std::vector<uint8_t> Bytes = tapeBytes(Clean);
   // peek - peek becomes peek * peek: same operands, nonlinear result.
-  Bytes[instOffset(static_cast<size_t>(Pc), 0)] =
-      static_cast<uint8_t>(wir::Op::Mul);
-  bool Ok = false;
-  wir::OpProgram Bad = reload(Bytes, Ok);
-  ASSERT_TRUE(Ok);
+  wir::OpProgram Bad = Clean;
+  Patch::code(Bad)[static_cast<size_t>(Pc)].K = wir::Op::Mul;
 
   // Extraction still claims linear (it analyzes the IR, not the tape);
   // the tape-side oracle must report the disagreement.
@@ -286,12 +258,8 @@ TEST(MutationCorpus, DroppedAccumulationIsACoefficientMismatch) {
   int Pc = findOp(Clean, wir::Op::Add);
   ASSERT_GE(Pc, 0);
 
-  std::vector<uint8_t> Bytes = tapeBytes(Clean);
-  Bytes[instOffset(static_cast<size_t>(Pc), 0)] =
-      static_cast<uint8_t>(wir::Op::Copy);
-  bool Ok = false;
-  wir::OpProgram Bad = reload(Bytes, Ok);
-  ASSERT_TRUE(Ok);
+  wir::OpProgram Bad = Clean;
+  Patch::code(Bad)[static_cast<size_t>(Pc)].K = wir::Op::Copy;
 
   LintReport R;
   lintTapeLinear(Bad, *N.F, N.Name, R);
@@ -304,14 +272,10 @@ TEST(MutationCorpus, DroppedAccumulationIsACoefficientMismatch) {
 TEST(MutationCorpus, CorruptRegisterOperandIsStructurallyRejected) {
   DiffFixture F;
   ASSERT_GE(F.Node, 0);
-  std::vector<uint8_t> Bytes = tapeBytes(F.tape());
-  // First instruction's A operand -> far outside the register frame.
-  // deserialize() accepts it (it only validates opcodes and jump
-  // targets); checkWellFormed must refuse to execute it.
-  patchI32(Bytes, instOffset(0, 2), 100000);
-  bool Ok = false;
-  wir::OpProgram Bad = reload(Bytes, Ok);
-  ASSERT_TRUE(Ok);
+  // First instruction's A operand -> far outside the register frame;
+  // checkWellFormed must refuse to execute it.
+  wir::OpProgram Bad = F.tape();
+  Patch::code(Bad)[0].A = 100000;
 
   std::vector<TapeFault> Faults;
   EXPECT_FALSE(checkWellFormed(Bad, F.node().F->fields(), Faults));
