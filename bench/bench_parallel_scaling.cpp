@@ -4,7 +4,12 @@
 // over worker counts, on representative shardable benchmarks, plus the
 // executor-pool "serve many users" mode. Each row reports wall-clock for
 // a fixed iteration span (best of N rounds, op counting off) and the
-// speedup against the single-worker run of the same program.
+// speedup against the single-worker run of the same program and backend.
+// Every program is swept twice: on the op tapes (rows "<name>_<mode>")
+// and with its emitted native module in every shard (rows
+// "<name>_<mode>_native", which also report vs_tape_x, the tape time
+// over the native time at the same worker count). Without a working
+// toolchain the native rows are skipped with a notice.
 //
 // Sharding overhead is the washout replay (shard boundaries are
 // reconstructed, not re-executed), so per-worker spans are chosen large
@@ -16,10 +21,12 @@
 
 #include "BenchUtil.h"
 
+#include "codegen/NativeModule.h"
 #include "compiler/Program.h"
 #include "exec/Parallel.h"
 
 #include <chrono>
+#include <iterator>
 
 using namespace slin;
 using namespace slin::apps;
@@ -54,8 +61,8 @@ int main() {
   };
 
   std::printf("Sharded steady-state scaling (fixed iteration span)\n");
-  std::printf("%-22s %8s %10s %12s %9s %7s\n", "Benchmark", "workers",
-              "shards", "ms (best)", "iters/ms", "speedup");
+  std::printf("%-26s %8s %10s %12s %9s %7s %7s\n", "Benchmark", "workers",
+              "shards", "ms (best)", "iters/ms", "speedup", "vs tape");
   printRule();
 
   for (const ScalingCase &C : Cases) {
@@ -70,43 +77,68 @@ int main() {
         std::make_shared<const CompiledProgram>(*Opt, CompiledOptions());
     std::string Label = std::string(C.Name) + "_" + C.ModeTag;
     if (!Program->shardInfo().Shardable) {
-      std::printf("%-22s unshardable: %s\n", Label.c_str(),
+      std::printf("%-26s unshardable: %s\n", Label.c_str(),
                   Program->shardInfo().Reason.c_str());
       continue;
     }
 
-    double OneWorker = 0.0;
-    for (int Workers : WorkerSweep) {
-      ParallelOptions PO;
-      PO.Workers = Workers;
-      PO.ShardMinIterations = 32;
-      double Best = 0.0;
-      int Shards = 0;
-      for (int R = 0; R != Rounds; ++R) {
-        ParallelExecutor E(Program, PO);
-        ops::CountingScope Off(false);
-        auto Start = std::chrono::steady_clock::now();
-        E.runIterations(C.Iterations);
-        double Secs = secondsSince(Start);
-        if (R == 0 || Secs < Best)
-          Best = Secs;
-        Shards = E.lastRunStats().ShardsUsed;
+    // One sweep per backend: the op tapes, then the program's emitted
+    // module in every shard (Native x Sharded). Rows keep distinct labels.
+    std::vector<double> TapeMs;
+    auto Sweep = [&](const std::string &RowLabel,
+                     const codegen::NativeModuleRef &Native) {
+      double OneWorker = 0.0;
+      for (size_t W = 0; W != std::size(WorkerSweep); ++W) {
+        int Workers = WorkerSweep[W];
+        ParallelOptions PO;
+        PO.Workers = Workers;
+        PO.ShardMinIterations = 32;
+        double Best = 0.0;
+        int Shards = 0;
+        for (int R = 0; R != Rounds; ++R) {
+          ParallelExecutor E(Program, PO, Native);
+          ops::CountingScope Off(false);
+          auto Start = std::chrono::steady_clock::now();
+          E.runIterations(C.Iterations);
+          double Secs = secondsSince(Start);
+          if (R == 0 || Secs < Best)
+            Best = Secs;
+          Shards = E.lastRunStats().ShardsUsed;
+        }
+        if (Workers == 1)
+          OneWorker = Best;
+        double Speedup = Best > 0.0 ? OneWorker / Best : 0.0;
+        std::vector<std::pair<std::string, double>> Fields = {
+            {"workers", static_cast<double>(Workers)},
+            {"shards", static_cast<double>(Shards)},
+            {"iterations", static_cast<double>(C.Iterations)},
+            {"washout",
+             static_cast<double>(Program->shardInfo().WashoutIterations)},
+            {"ms", Best * 1e3},
+            {"speedup_x", Speedup}};
+        std::printf("%-26s %8d %10d %12.2f %9.1f %6.2fx", RowLabel.c_str(),
+                    Workers, Shards, Best * 1e3,
+                    static_cast<double>(C.Iterations) / (Best * 1e3),
+                    Speedup);
+        if (!Native) {
+          TapeMs.push_back(Best);
+        } else if (Best > 0.0) {
+          // Same worker count, tapes over native.
+          Fields.push_back({"vs_tape_x", TapeMs[W] / Best});
+          std::printf(" %6.2fx", TapeMs[W] / Best);
+        }
+        std::printf("\n");
+        Report.add(RowLabel, Engine::Parallel, std::move(Fields));
       }
-      if (Workers == 1)
-        OneWorker = Best;
-      double Speedup = Best > 0.0 ? OneWorker / Best : 0.0;
-      std::printf("%-22s %8d %10d %12.2f %9.1f %6.2fx\n", Label.c_str(),
-                  Workers, Shards, Best * 1e3,
-                  static_cast<double>(C.Iterations) / (Best * 1e3), Speedup);
-      Report.add(Label, Engine::Parallel,
-                 {{"workers", static_cast<double>(Workers)},
-                  {"shards", static_cast<double>(Shards)},
-                  {"iterations", static_cast<double>(C.Iterations)},
-                  {"washout",
-                   static_cast<double>(Program->shardInfo().WashoutIterations)},
-                  {"ms", Best * 1e3},
-                  {"speedup_x", Speedup}});
-    }
+    };
+    Sweep(Label, nullptr);
+    std::string Reason;
+    if (codegen::NativeModuleRef M =
+            codegen::NativeModuleCache::global().get(*Program, &Reason))
+      Sweep(Label + "_native", M);
+    else
+      std::printf("%-26s native rows skipped: %s\n", Label.c_str(),
+                  Reason.c_str());
     printRule();
   }
 

@@ -12,7 +12,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <mutex>
+#include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -36,6 +39,36 @@ std::string shQuote(const std::string &S) {
 }
 
 bool runsOk(int Rc) { return Rc != -1 && WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0; }
+
+/// Every object's compile flags, verbatim. -ffp-contract=off and
+/// -fno-builtin are bit-identity requirements (no FMA contraction, no
+/// compile-time libm folding); everything else is plain optimized
+/// shared-object compilation. Mixed into the object key as written.
+const char NativeFlags[] = "-O3 -march=native -ffp-contract=off -fno-builtin"
+                           " -fPIC -shared -std=c++17";
+
+/// First line of `Cxx --version` (name and version), memoized per
+/// compiler string since tests flip SLIN_CXX; \p Cxx itself when it
+/// does not run.
+std::string compilerIdentity(const std::string &Cxx) {
+  static std::mutex Mutex;
+  static std::map<std::string, std::string> Known;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Known.find(Cxx);
+  if (It != Known.end())
+    return It->second;
+  std::string Id;
+  std::string Cmd = shQuote(Cxx) + " --version 2>/dev/null";
+  if (std::FILE *F = Cxx.empty() ? nullptr : ::popen(Cmd.c_str(), "r")) {
+    char Buf[256];
+    if (std::fgets(Buf, sizeof(Buf), F))
+      Id = Buf;
+    ::pclose(F);
+  }
+  while (!Id.empty() && (Id.back() == '\n' || Id.back() == '\r'))
+    Id.pop_back();
+  return Known[Cxx] = Id.empty() ? Cxx : Id;
+}
 
 bool writeTextFile(const std::string &Path, const std::string &Text) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
@@ -130,6 +163,32 @@ bool slin::codegen::nativeDisabled() {
   return RuntimeConfig::current().NoNative;
 }
 
+std::string slin::codegen::hostIsaFingerprint() {
+  static const std::string Fingerprint = [] {
+    struct utsname U;
+    std::string F = ::uname(&U) == 0 ? U.machine : "unknown-machine";
+    // The kernel's CPU feature line ("flags" on x86, "Features" on ARM):
+    // the extensions -march=native may use on this host.
+    std::ifstream In("/proc/cpuinfo");
+    for (std::string Line; std::getline(In, Line);)
+      if (Line.rfind("flags", 0) == 0 || Line.rfind("Features", 0) == 0) {
+        F += "|" + Line.substr(std::min(Line.find(':') + 1, Line.size()));
+        break;
+      }
+    return F;
+  }();
+  return Fingerprint;
+}
+
+HashDigest slin::codegen::objectBuildDigest(const std::string &IsaFingerprint) {
+  HashStream H;
+  H.mix(codegenVersion());
+  H.mixString(compilerIdentity(discoverCompiler()));
+  H.mixString(NativeFlags);
+  H.mixString(IsaFingerprint);
+  return H.digest();
+}
+
 std::string slin::codegen::discoverCompiler() {
   // SLIN_CXX wins verbatim, without probing: a deliberately nonexistent
   // path (the CI no-toolchain arm) must fail at compile time, every
@@ -218,13 +277,15 @@ BuildResult slin::codegen::buildNativeModule(const CompiledProgram &P,
   static std::atomic<uint64_t> Seq{0};
   std::string Obj;
   bool Publish = Store != nullptr;
+  HashDigest Build;
   if (Publish) {
+    Build = objectBuildDigest();
     char Suffix[64];
     std::snprintf(Suffix, sizeof(Suffix), ".tmp.%ld.%llu",
                   static_cast<long>(::getpid()),
                   static_cast<unsigned long long>(
                       Seq.fetch_add(1, std::memory_order_relaxed)));
-    Obj = Store->objectPathFor(K, codegenVersion()) + Suffix;
+    Obj = Store->objectPathFor(K, Build) + Suffix;
   } else {
     Obj = Scratch + "/program.so";
   }
@@ -243,13 +304,8 @@ BuildResult slin::codegen::buildNativeModule(const CompiledProgram &P,
     return R;
   }
 
-  // -ffp-contract=off and -fno-builtin are bit-identity requirements
-  // (no FMA contraction, no compile-time libm folding); everything else
-  // is plain optimized shared-object compilation. A ccache shim named
-  // by SLIN_CXX works unchanged.
-  std::string Cmd = shQuote(Cxx) +
-                    " -O3 -march=native -ffp-contract=off -fno-builtin"
-                    " -fPIC -shared -std=c++17 -x c++ " +
+  // A ccache shim named by SLIN_CXX works unchanged.
+  std::string Cmd = shQuote(Cxx) + " " + NativeFlags + " -x c++ " +
                     shQuote(SrcPath) + " -o " + shQuote(Obj) + " 2>" +
                     shQuote(CcErrPath);
   R.CompilerRan = true;
@@ -287,7 +343,7 @@ BuildResult slin::codegen::buildNativeModule(const CompiledProgram &P,
   if (Publish)
     // Failure already unlinked the tmp object; the module stays usable
     // and the next cold process recompiles.
-    Store->publishObject(K, codegenVersion(), Obj);
+    Store->publishObject(K, Build, Obj);
   else
     ::unlink(Obj.c_str());
   Cleanup(false);

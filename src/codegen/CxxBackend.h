@@ -21,10 +21,11 @@
 /// so a ccache shim named by SLIN_CXX works unchanged.
 ///
 /// When the artifact store is enabled the object is compiled straight
-/// into the store directory (atomic publish: temp name, fsync, rename)
-/// and dlopened from its final path; otherwise it lives in a mkdtemp
-/// scratch directory that is removed after dlopen (the mapping
-/// survives unlinking).
+/// into the store directory (atomic publish: temp name, fsync, rename),
+/// keyed by the program and by objectBuildDigest() — compiler identity,
+/// flags, host ISA — and dlopened from its final path; otherwise it
+/// lives in a mkdtemp scratch directory that is removed after dlopen
+/// (the mapping survives unlinking).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +52,19 @@ std::string discoverCompiler();
 /// True when native codegen is administratively off (SLIN_NO_NATIVE=1).
 bool nativeDisabled();
 
+/// This host's instruction-set fingerprint: the machine name plus the
+/// CPU feature line /proc/cpuinfo reports. Computed once per process.
+std::string hostIsaFingerprint();
+
+/// The digest native objects are stored under (ArtifactStore::
+/// objectPathFor), besides the program key: codegenVersion(), the
+/// compiler's identity (its `--version` line), the exact flag string and
+/// \p IsaFingerprint. An object from another compiler, flag set or host
+/// ISA is a plain miss — rebuilt, never dlopened — so a store shared
+/// across hosts cannot hand this one code it would die on with SIGILL.
+HashDigest objectBuildDigest(
+    const std::string &IsaFingerprint = hostIsaFingerprint());
+
 /// Emits the complete translation unit for \p P into \p Src (replacing
 /// its contents). Returns the number of functions emitted (0: nothing in
 /// this program lowers — callers should degrade without invoking a
@@ -70,7 +84,7 @@ struct BuildResult {
 
 /// Builds \p P's native module. With \p Store non-null the object is
 /// compiled into the store directory and atomically published under
-/// {\p K, codegenVersion()} (a publish failure costs only the disk
+/// {\p K, objectBuildDigest()} (a publish failure costs only the disk
 /// tier: the module is dlopened before the rename, so its mapping
 /// survives). Null \p Store: scratch compile, object deleted after
 /// dlopen. Fault points codegen-cc-fail / codegen-dlopen-fail fire

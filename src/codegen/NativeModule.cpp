@@ -110,7 +110,7 @@ NativeModuleRef NativeModuleCache::get(const CompiledProgram &P,
   ArtifactStore *Store = ArtifactStore::enabledGlobal();
   ArtifactStore::Key SK{K.Structure, K.Options};
   if (Store) {
-    std::string Path = Store->objectPathFor(SK, codegenVersion());
+    std::string Path = Store->objectPathFor(SK, objectBuildDigest());
     if (::access(Path.c_str(), R_OK) == 0) {
       std::string OpenErr;
       NativeModuleRef M = NativeModule::open(Path, P.graph().Nodes.size(),
@@ -144,6 +144,21 @@ NativeModuleRef NativeModuleCache::get(const CompiledProgram &P,
     Entries[K] = {R.Module, R.Error};
   }
   return R.Module;
+}
+
+NativeModuleRef NativeModuleCache::find(const CompiledProgram &P) const {
+  if (nativeDisabled())
+    return nullptr;
+  {
+    // Most processes hold no module at all: skip the structural hash.
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (Entries.empty())
+      return nullptr;
+  }
+  Key K{structuralHash(P.root()), hashOptions(P.options())};
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Entries.find(K);
+  return It == Entries.end() ? nullptr : It->second.Module;
 }
 
 void NativeModuleCache::clear() {

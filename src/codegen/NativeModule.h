@@ -17,8 +17,10 @@
 /// pair the ProgramCache uses — {structuralHash(optimized root),
 /// hashOptions} — and, when the artifact store is configured, keeps the
 /// built .so on disk keyed additionally by {format version, build flags,
-/// codegen version}: a warm process (or fleet neighbour) dlopens the
-/// cached object with zero passes and zero codegen. SLIN_NO_CACHE=1
+/// objectBuildDigest: codegen version, compiler identity, compile flags,
+/// host ISA}: a warm process (or a fleet neighbour with the same
+/// compiler and ISA) dlopens the cached object with zero passes and zero
+/// codegen; any other host misses and rebuilds. SLIN_NO_CACHE=1
 /// bypasses the disk tier per call, exactly like the program store.
 ///
 /// Everything here degrades: no toolchain (SLIN_CXX overrides discovery;
@@ -125,6 +127,11 @@ public:
   /// a missing toolchain is probed once, not per run.
   NativeModuleRef get(const CompiledProgram &P,
                       std::string *DegradeReason = nullptr);
+
+  /// The module this process already holds for \p P, memory only: no
+  /// build, no disk probe, no compiler, no stats. Null when none was
+  /// resolved (or it failed, or SLIN_NO_NATIVE is set): run the tapes.
+  NativeModuleRef find(const CompiledProgram &P) const;
 
   /// Drops every memoized module and negative entry (test hook; modules
   /// still referenced by executors stay alive through their shared_ptr).

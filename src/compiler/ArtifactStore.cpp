@@ -1145,16 +1145,17 @@ ArtifactStore::tryLoad(const Key &K) {
 }
 
 std::string ArtifactStore::objectPathFor(const Key &K,
-                                         uint32_t CodegenVersion) const {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "o-v%u-f%u-g%u-", formatVersion(),
-                buildFlags(), CodegenVersion);
-  return Dir + "/" + Buf + K.Structure.str() + "-" + K.Options.str() + ".so";
+                                         const HashDigest &Build) const {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "o-v%u-f%u-", formatVersion(),
+                buildFlags());
+  return Dir + "/" + Buf + Build.str() + "-" + K.Structure.str() + "-" +
+         K.Options.str() + ".so";
 }
 
-Status ArtifactStore::publishObject(const Key &K, uint32_t CodegenVersion,
+Status ArtifactStore::publishObject(const Key &K, const HashDigest &Build,
                                     const std::string &TmpPath) {
-  std::string Path = objectPathFor(K, CodegenVersion);
+  std::string Path = objectPathFor(K, Build);
   auto Fail = [&](const std::string &What, int Err) {
     ::unlink(TmpPath.c_str());
     {

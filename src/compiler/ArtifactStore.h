@@ -117,12 +117,15 @@ public:
   /// file that failed validation). The degradation is a clean recompile.
   Expected<std::shared_ptr<const CompiledProgram>> tryLoad(const Key &K);
 
-  /// Final path of the native-code shared object for \p K under codegen
-  /// scheme \p CodegenVersion (codegen/NativeModule.h). The filename
-  /// carries the full key — digests, format version, build flags,
-  /// codegen version — so scheme bumps are plain misses, and the .so
-  /// participates in the same TTL/quota sweeps as program artifacts.
-  std::string objectPathFor(const Key &K, uint32_t CodegenVersion) const;
+  /// Final path of the native-code shared object for \p K built under
+  /// \p Build, the digest of everything that shapes the machine code
+  /// besides the program: codegen scheme, compiler identity, exact flag
+  /// string and host ISA (codegen::objectBuildDigest). The filename
+  /// carries the full key — digests, format version, build flags — so an
+  /// object built elsewhere or by an older scheme is a plain miss, and
+  /// the .so participates in the same TTL/quota sweeps as program
+  /// artifacts.
+  std::string objectPathFor(const Key &K, const HashDigest &Build) const;
 
   /// Atomically publishes the already-compiled object \p TmpPath (a
   /// `.tmp.<pid>.*`-suffixed file inside dir()) as objectPathFor(...):
@@ -130,7 +133,7 @@ public:
   /// enforcement. On failure \p TmpPath is unlinked. Unlike tryStore
   /// there is no checksummed header — the dlopen + ABI-version check on
   /// load is the validation — so corruption degrades to a recompile.
-  Status publishObject(const Key &K, uint32_t CodegenVersion,
+  Status publishObject(const Key &K, const HashDigest &Build,
                        const std::string &TmpPath);
 
   /// Publishes a pipeline-key → artifact-key alias record.

@@ -140,8 +140,9 @@ public:
   /// Count of observable outputs produced so far.
   size_t outputsProduced() const;
 
-  /// Items on the external output channel (cheap; no snapshot copy).
-  size_t externalOutputCount() const { return ExtOut.size(); }
+  /// The external output channel itself, no copy (the parallel backend
+  /// splices from a saved boundary onward).
+  const std::vector<double> &externalOutputs() const { return ExtOut; }
 
   /// Total node firings so far (diagnostics).
   uint64_t firings() const { return Firings; }

@@ -7,7 +7,8 @@
 /// batched matrix kernels), and the parallel sharded backend
 /// (exec/Parallel.h) that splits a run's steady iterations across worker
 /// threads, each an independent CompiledExecutor over the same shared
-/// CompiledProgram. Measurement helpers, the cost model and the benchmark
+/// CompiledProgram running its op tapes or its native module.
+/// Measurement helpers, the cost model and the benchmark
 /// harness all select an engine through this enum.
 ///
 //===----------------------------------------------------------------------===//
@@ -20,7 +21,7 @@ namespace slin {
 enum class Engine {
   Dynamic,  ///< exec/Executor.h
   Compiled, ///< exec/CompiledExecutor.h
-  Parallel, ///< exec/Parallel.h (sharded runs over a CompiledProgram)
+  Parallel, ///< exec/Parallel.h (tape or native x worker threads)
   Native    ///< codegen/NativeModule.h (emitted C++, dlopen'd per program)
 };
 

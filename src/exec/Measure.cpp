@@ -61,8 +61,10 @@ Measurement slin::measureSteadyState(const Stream &Root,
         Opts.Program ? Opts.Program
                      : ProgramCache::global().get(Root, Opts.Exec.Compiled);
     if (Opts.Exec.Eng == Engine::Parallel)
-      // Worker-thread op counts fold back into this thread's counters
-      // (ops::accumulate), so the protocol below reads them as usual.
+      // The shards run the native module this process already holds for
+      // P, if any (never a build). Worker-thread op counts fold back into
+      // this thread's counters (ops::accumulate), so the protocol below
+      // reads them as usual.
       return measureWith<ParallelExecutor>(Opts, [&] {
         return ParallelExecutor(P, Opts.Exec.Compiled.Parallel);
       });
@@ -91,6 +93,7 @@ std::vector<double> slin::collectOutputs(const Stream &Root, size_t NOutputs,
     return Out;
   };
   if (Eng == Engine::Parallel) {
+    // Shards run the native module this process holds for it, if any.
     ParallelExecutor E(ProgramCache::global().get(Root, CompiledOptions()));
     E.run(NOutputs);
     return Finish(E.printed(), E.outputSnapshot());

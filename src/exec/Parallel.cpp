@@ -34,17 +34,25 @@ int64_t externalLookahead(const StaticSchedule &S) {
 } // namespace
 
 ParallelExecutor::ParallelExecutor(CompiledProgramRef Program)
-    : ParallelExecutor(std::move(Program), ParallelOptions()) {
-  Opts = Prog->options().Parallel;
-}
+    : ParallelExecutor(Program, Program->options().Parallel) {}
 
 ParallelExecutor::ParallelExecutor(CompiledProgramRef Program,
                                    ParallelOptions Opts)
-    : Prog(std::move(Program)), Opts(Opts) {
+    : ParallelExecutor(Program, Opts,
+                       codegen::NativeModuleCache::global().find(*Program)) {}
+
+ParallelExecutor::ParallelExecutor(CompiledProgramRef Program,
+                                   ParallelOptions Opts,
+                                   codegen::NativeModuleRef Native)
+    : Prog(std::move(Program)), Opts(Opts), Native(std::move(Native)) {
   assert(Prog && "null program");
 }
 
 ParallelExecutor::~ParallelExecutor() = default;
+
+std::unique_ptr<CompiledExecutor> ParallelExecutor::newExecutor() const {
+  return std::make_unique<CompiledExecutor>(Prog, Native);
+}
 
 void ParallelExecutor::provideInput(const std::vector<double> &Items) {
   In.insert(In.end(), Items.begin(), Items.end());
@@ -60,174 +68,131 @@ int64_t ParallelExecutor::consumedInputItems() const {
          IterationsDone * S.SteadyExternalPops;
 }
 
-/// Executes one shard: seeds (or genuinely initializes) a fresh executor
-/// at the shard boundary, replays the washout with counting off, then
-/// runs the shard span and keeps only its outputs and op deltas. Any
-/// failure lands in Result.St (never aborts off the main thread).
-void ParallelExecutor::runShard(int64_t Start, int64_t Span, bool Counting,
-                                const faults::RunDeadline *DL,
-                                ShardResult &Result) const {
-  const StaticSchedule &S = Prog->schedule();
-  int64_t Washout = Prog->shardInfo().WashoutIterations;
-  int64_t From = std::max<int64_t>(0, Start - Washout);
-  int64_t Warm = Start - From;
-
-  Result.Exec = std::make_unique<CompiledExecutor>(Prog);
-  CompiledExecutor &E = *Result.Exec;
-  // The shard's input slice: its own pops plus the peek lookahead. A
-  // worker replaying from the stream start (From == 0) runs the real
-  // init program and consumes the init pops too.
-  int64_t Offset = From == 0 ? 0 : S.InitExternalPops + From * S.SteadyExternalPops;
-  int64_t Len = (From == 0 ? S.InitExternalPops : 0) +
-                (Warm + Span) * S.SteadyExternalPops + externalLookahead(S);
-  if (Len > 0 && Offset < static_cast<int64_t>(In.size())) {
-    size_t End = std::min(In.size(), static_cast<size_t>(Offset + Len));
-    E.provideInput(std::vector<double>(In.begin() + Offset, In.begin() + End));
-    Result.InFedEnd = End;
+/// Hands \p E the input items from global index \p Fed onward.
+void ParallelExecutor::feed(CompiledExecutor &E, size_t &Fed) const {
+  if (Fed < In.size()) {
+    E.provideInput(std::vector<double>(
+        In.begin() + static_cast<ptrdiff_t>(Fed), In.end()));
+    Fed = In.size();
   }
+}
 
-  if (From > 0) {
-    Result.St = E.trySeedSteadyState(From);
-    if (!Result.St.isOk())
-      return;
-  }
-  if (Warm > 0 || From > 0) {
-    // Replayed iterations refresh boundary state; their outputs are
-    // discarded below and their ops must not count (a sequential run
-    // executes them once, not once per shard). The Warm == 0 shard at the
-    // true stream start takes no warmup at all: its init program must run
-    // inside the counted span, exactly like a sequential run's.
-    ops::CountingScope Off(false);
-    Result.St = E.tryRunIterations(Warm, DL);
-    if (!Result.St.isOk())
-      return;
-  }
-  size_t OutBoundary = E.externalOutputCount();
-  size_t PrintBoundary = E.printed().size();
+/// Appends what \p E produced from \p From onward to the logical streams.
+void ParallelExecutor::splice(const CompiledExecutor &E, Mark From) {
+  const std::vector<double> &Out = E.externalOutputs();
+  ExtOut.insert(ExtOut.end(), Out.begin() + static_cast<ptrdiff_t>(From.Out),
+                Out.end());
+  const std::vector<double> &P = E.printed();
+  Printed.insert(Printed.end(),
+                 P.begin() + static_cast<ptrdiff_t>(From.Printed), P.end());
+}
 
+/// Executes one shard on the calling thread. A shard handed an executor
+/// continues it (the adopted tail, positioned exactly at R.Start).
+/// Otherwise it seeds (or, at the true stream start, genuinely
+/// initializes) a fresh executor at the shard boundary and replays the
+/// washout with counting off. Then it runs the span, leaving the outputs
+/// in the executor from R.From onward. Any failure lands in R.St (never
+/// aborts off the main thread).
+void ParallelExecutor::runShard(ShardResult &R, bool Counting,
+                                const faults::RunDeadline *DL) const {
+  if (R.Exec) {
+    feed(*R.Exec, R.InFedEnd);
+  } else {
+    const StaticSchedule &S = Prog->schedule();
+    int64_t Washout = Prog->shardInfo().WashoutIterations;
+    int64_t From = std::max<int64_t>(0, R.Start - Washout);
+    int64_t Warm = R.Start - From;
+    R.Exec = newExecutor();
+    CompiledExecutor &E = *R.Exec;
+    // The shard's input slice: its own pops plus the peek lookahead. A
+    // worker replaying from the stream start (From == 0) runs the real
+    // init program and consumes the init pops too.
+    int64_t Offset =
+        From == 0 ? 0 : S.InitExternalPops + From * S.SteadyExternalPops;
+    int64_t Len = (From == 0 ? S.InitExternalPops : 0) +
+                  (Warm + R.Span) * S.SteadyExternalPops +
+                  externalLookahead(S);
+    if (Len > 0 && Offset < static_cast<int64_t>(In.size())) {
+      size_t End = std::min(In.size(), static_cast<size_t>(Offset + Len));
+      E.provideInput(
+          std::vector<double>(In.begin() + Offset, In.begin() + End));
+      R.InFedEnd = End;
+    }
+    if (From > 0) {
+      R.St = E.trySeedSteadyState(From);
+      if (!R.St.isOk())
+        return;
+    }
+    if (Warm > 0 || From > 0) {
+      // Replayed iterations refresh boundary state; their outputs are
+      // discarded below and their ops must not count (a sequential run
+      // executes them once, not once per shard). The Warm == 0 shard at
+      // the true stream start takes no warmup at all: its init program
+      // must run inside the counted span, exactly like a sequential
+      // run's.
+      ops::CountingScope Off(false);
+      R.St = E.tryRunIterations(Warm, DL);
+      if (!R.St.isOk())
+        return;
+    }
+  }
+  CompiledExecutor &E = *R.Exec;
+  R.From = {E.externalOutputs().size(), E.printed().size()};
   OpCounts Before = ops::counts();
   {
     ops::CountingScope Scope(Counting);
-    Result.St = E.tryRunIterations(Span, DL);
+    R.St = E.tryRunIterations(R.Span, DL);
   }
-  Result.Ops = ops::counts() - Before;
-  if (!Result.St.isOk())
-    return;
-
-  std::vector<double> Out = E.outputSnapshot();
-  Result.Out.assign(Out.begin() + static_cast<ptrdiff_t>(OutBoundary),
-                    Out.end());
-  const std::vector<double> &P = E.printed();
-  Result.Printed.assign(P.begin() + static_cast<ptrdiff_t>(PrintBoundary),
-                        P.end());
+  R.Ops = ops::counts() - Before;
 }
 
-CompiledExecutor &ParallelExecutor::seqExecutor() {
-  bool Fresh = !Seq;
+/// Runs \p Step on the tail — or, when there is none, on a fresh
+/// executor caught up (uncounted) through the iterations already done;
+/// replayed work, so it cannot starve — and splices what the step
+/// produced. A failure leaves the executor indeterminate mid-stream: it
+/// is discarded, and the next call rebuilds one.
+Status ParallelExecutor::advanceTail(
+    const faults::RunDeadline *DL,
+    const std::function<Status(CompiledExecutor &)> &Step) {
+  bool Fresh = !Tail;
   if (Fresh) {
-    Seq = std::make_unique<CompiledExecutor>(Prog);
-    SeqInFed = 0;
+    Tail = newExecutor();
+    TailInFed = 0;
   }
-  if (SeqInFed < In.size()) {
-    Seq->provideInput(std::vector<double>(
-        In.begin() + static_cast<ptrdiff_t>(SeqInFed), In.end()));
-    SeqInFed = In.size();
-  }
-  // A fresh executor created after a mid-run failure discarded its
-  // predecessor must catch up (uncounted) to the logical stream
-  // position; it replays work that already ran, so it cannot starve.
+  feed(*Tail, TailInFed);
+  Status St;
   if (Fresh && IterationsDone > 0) {
     ops::CountingScope Off(false);
-    Seq->runIterations(IterationsDone);
+    St = Tail->tryRunIterations(IterationsDone, DL);
   }
-  return *Seq;
-}
-
-void ParallelExecutor::spliceSeqOutputs(size_t OutBoundary,
-                                        size_t PrintBoundary) {
-  std::vector<double> Out = Seq->outputSnapshot();
-  ExtOut.insert(ExtOut.end(),
-                Out.begin() + static_cast<ptrdiff_t>(OutBoundary), Out.end());
-  const std::vector<double> &P = Seq->printed();
-  Printed.insert(Printed.end(),
-                 P.begin() + static_cast<ptrdiff_t>(PrintBoundary), P.end());
-}
-
-Status ParallelExecutor::runSequential(int64_t Iters,
-                                       const faults::RunDeadline *DL) {
-  CompiledExecutor &E = seqExecutor();
-  size_t OutBoundary = E.externalOutputCount();
-  size_t PrintBoundary = E.printed().size();
-  if (Status St = E.tryRunIterations(Iters, DL); !St.isOk()) {
-    // Mid-run failure leaves E indeterminate; discard it so the next
-    // call rebuilds (and catches up) a fresh one.
-    Seq.reset();
-    SeqInFed = 0;
-    return St;
-  }
-  spliceSeqOutputs(OutBoundary, PrintBoundary);
-  return Status::ok();
-}
-
-Status ParallelExecutor::runSequentialByOutputs(size_t NOutputs,
-                                                const faults::RunDeadline *DL) {
-  CompiledExecutor &E = seqExecutor();
-  size_t OutBoundary = E.externalOutputCount();
-  size_t PrintBoundary = E.printed().size();
-  // E holds the whole logical stream: same target.
-  if (Status St = E.tryRun(NOutputs, DL); !St.isOk()) {
-    Seq.reset();
-    SeqInFed = 0;
-    return St;
-  }
-  spliceSeqOutputs(OutBoundary, PrintBoundary);
-  return Status::ok();
-}
-
-/// Sharded fan-out hit a seed anomaly: every shard's partial output has
-/// been discarded and the whole span re-runs on the continuation tail —
-/// or, when none exists, on a fresh executor caught up (uncounted)
-/// through the iterations already done. The sequential re-run fires the
-/// exact firing sequence a single-threaded engine would, so outputs and
-/// FLOP counts stay bit-identical to the clean path.
-Status ParallelExecutor::recoverSpanSequentially(int64_t Iters,
-                                                 const std::string &Why,
-                                                 const faults::RunDeadline *DL) {
-  if (!Tail) {
-    Tail = std::make_unique<CompiledExecutor>(Prog);
-    Tail->provideInput(In);
-    TailInFed = In.size();
-    if (IterationsDone > 0) {
-      ops::CountingScope Off(false);
-      if (Status St = Tail->tryRunIterations(IterationsDone, DL);
-          !St.isOk()) {
-        Tail.reset();
-        return St;
-      }
-    }
-  } else if (TailInFed < In.size()) {
-    Tail->provideInput(std::vector<double>(
-        In.begin() + static_cast<ptrdiff_t>(TailInFed), In.end()));
-    TailInFed = In.size();
-  }
-  size_t OutBoundary = Tail->externalOutputCount();
-  size_t PrintBoundary = Tail->printed().size();
-  if (Status St = Tail->tryRunIterations(Iters, DL); !St.isOk()) {
+  Mark From{Tail->externalOutputs().size(), Tail->printed().size()};
+  if (St.isOk())
+    St = Step(*Tail);
+  if (!St.isOk()) {
     Tail.reset();
     return St;
   }
-  std::vector<double> Out = Tail->outputSnapshot();
-  ExtOut.insert(ExtOut.end(), Out.begin() + static_cast<ptrdiff_t>(OutBoundary),
-                Out.end());
-  const std::vector<double> &P = Tail->printed();
-  Printed.insert(Printed.end(),
-                 P.begin() + static_cast<ptrdiff_t>(PrintBoundary), P.end());
-  int64_t SpanIters = Stats.Iterations;
-  Stats = RunStats();
-  Stats.Iterations = SpanIters;
+  splice(*Tail, From);
+  return St;
+}
+
+/// Runs \p Iters iterations in place on the tail, recorded as a
+/// sequential run for reason \p Why. The tail fires the exact firing
+/// sequence a single-threaded engine would, so outputs and FLOP counts
+/// stay bit-identical to the sharded path.
+Status ParallelExecutor::runSequentially(int64_t Iters, const std::string &Why,
+                                         const faults::RunDeadline *DL) {
+  auto Step = [&](CompiledExecutor &E) {
+    return E.tryRunIterations(Iters, DL);
+  };
+  if (Status St = advanceTail(DL, Step); !St.isOk())
+    return St;
   Stats.ShardsUsed = 1;
   Stats.Sequential = true;
   Stats.FallbackReason = Why;
+  IterationsDone += Iters;
+  InitDone = true;
   return Status::ok();
 }
 
@@ -245,17 +210,8 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
   const StaticSchedule &S = Prog->schedule();
 
   const CompiledProgram::ShardInfo &SI = Prog->shardInfo();
-  if (!SI.Shardable) {
-    // The persistent executor does its own input bookkeeping.
-    if (Status St = runSequential(Iters, DL); !St.isOk())
-      return St;
-    Stats.ShardsUsed = 1;
-    Stats.Sequential = true;
-    Stats.FallbackReason = SI.Reason;
-    IterationsDone += Iters;
-    InitDone = true;
-    return Status::ok();
-  }
+  if (!SI.Shardable)
+    return runSequentially(Iters, SI.Reason, DL);
 
   // Validate input coverage up front (workers must not hit the engine's
   // deadlock diagnostics off the main thread).
@@ -276,108 +232,59 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
       std::min<int64_t>(Workers, std::max<int64_t>(1, Iters / MinSpan)));
   bool Counting = ops::isCounting();
 
-  if (Shards == 1) {
-    // Single shard: run on the calling thread (its counting scope
-    // already applies — no delta folding). A tail executor adopted from
-    // the previous call sits exactly at IterationsDone and continues
-    // directly, with no re-seeding or washout replay.
-    if (Tail) {
-      if (TailInFed < In.size()) {
-        Tail->provideInput(std::vector<double>(
-            In.begin() + static_cast<ptrdiff_t>(TailInFed), In.end()));
-        TailInFed = In.size();
-      }
-      size_t OutBoundary = Tail->externalOutputCount();
-      size_t PrintBoundary = Tail->printed().size();
-      if (Status St = Tail->tryRunIterations(Iters, DL); !St.isOk()) {
-        Tail.reset(); // indeterminate mid-stream; rebuild on next call
-        return St;
-      }
-      std::vector<double> Out = Tail->outputSnapshot();
-      ExtOut.insert(ExtOut.end(),
-                    Out.begin() + static_cast<ptrdiff_t>(OutBoundary),
-                    Out.end());
-      const std::vector<double> &P = Tail->printed();
-      Printed.insert(Printed.end(),
-                     P.begin() + static_cast<ptrdiff_t>(PrintBoundary),
-                     P.end());
-    } else {
-      ShardResult R;
-      runShard(IterationsDone, Iters, Counting, DL, R);
-      if (!R.St.isOk()) {
-        if (R.St.code() != ErrorCode::ShardAnomaly)
-          return R.St;
-        if (Status St = recoverSpanSequentially(Iters, R.St.str(), DL);
-            !St.isOk())
-          return St;
-        IterationsDone += Iters;
-        InitDone = true;
-        return Status::ok();
-      }
-      Stats.WarmupIterations += std::min(SI.WashoutIterations, IterationsDone);
-      ExtOut.insert(ExtOut.end(), R.Out.begin(), R.Out.end());
-      Printed.insert(Printed.end(), R.Printed.begin(), R.Printed.end());
-      Tail = std::move(R.Exec);
-      TailInFed = R.InFedEnd;
-    }
-    Stats.ShardsUsed = 1;
-    IterationsDone += Iters;
-    InitDone = true;
-    return Status::ok();
-  }
-
-  // Fanning out. Any previous tail will be superseded by the new last
-  // shard (which ends at the new IterationsDone) — but it is kept alive
-  // until the shards succeed, as the cheapest sequential-recovery point
-  // should one of them hit a seed anomaly.
+  // Shard 0 runs on the calling thread, whose counting scope already
+  // applies (its op delta is never folded), and continues the tail when
+  // one exists; the others seed fresh executors on their own threads.
   int64_t Base = Iters / Shards, Rem = Iters % Shards;
   std::vector<ShardResult> Results(static_cast<size_t>(Shards));
+  Results[0].Exec = std::move(Tail);
+  Results[0].InFedEnd = TailInFed;
   std::vector<std::thread> Threads;
-  Threads.reserve(static_cast<size_t>(Shards));
   int64_t Start = IterationsDone;
   for (int I = 0; I != Shards; ++I) {
-    int64_t Span = Base + (I < Rem ? 1 : 0);
-    if (I > 0 || Start > 0)
-      Stats.WarmupIterations += std::min(SI.WashoutIterations, Start);
-    Threads.emplace_back([this, Start, Span, Counting, DL, &Results, I] {
-      runShard(Start, Span, Counting, DL, Results[static_cast<size_t>(I)]);
-    });
-    Start += Span;
+    ShardResult &R = Results[static_cast<size_t>(I)];
+    R.Start = Start;
+    R.Span = Base + (I < Rem ? 1 : 0);
+    Start += R.Span;
+    if (!R.Exec)
+      Stats.WarmupIterations += std::min(SI.WashoutIterations, R.Start);
+    if (I > 0)
+      Threads.emplace_back(
+          [this, &R, Counting, DL] { runShard(R, Counting, DL); });
   }
+  runShard(Results[0], Counting, DL);
   for (std::thread &T : Threads)
     T.join();
 
-  for (ShardResult &R : Results) {
-    if (R.St.isOk())
-      continue;
-    // One bad shard poisons the span: later shards' outputs depend on
-    // positions the bad shard was meant to cover, so discard everything
-    // (op deltas were never folded in) and re-run sequentially.
-    if (R.St.code() != ErrorCode::ShardAnomaly)
-      return R.St;
-    if (Status St = recoverSpanSequentially(Iters, R.St.str(), DL);
-        !St.isOk())
-      return St;
-    IterationsDone += Iters;
+  // Shards after a failed one cover positions it was meant to produce,
+  // so only the shards before the first failure stand. A timeout or
+  // deadlock propagates; a seed anomaly is absorbed below.
+  auto Bad = std::find_if(Results.begin(), Results.end(),
+                          [](const ShardResult &R) { return !R.St.isOk(); });
+  if (Bad != Results.end() && Bad->St.code() != ErrorCode::ShardAnomaly)
+    return Bad->St;
+  OpCounts Folded;
+  for (auto It = Results.begin(); It != Bad; ++It) {
+    splice(*It->Exec, It->From);
+    if (It != Results.begin())
+      Folded += It->Ops;
+    IterationsDone += It->Span;
     InitDone = true;
-    return Status::ok();
-  }
-
-  OpCounts Total;
-  for (ShardResult &R : Results) {
-    ExtOut.insert(ExtOut.end(), R.Out.begin(), R.Out.end());
-    Printed.insert(Printed.end(), R.Printed.begin(), R.Printed.end());
-    Total += R.Ops;
   }
   if (Counting)
-    ops::accumulate(Total);
-  Tail = std::move(Results.back().Exec);
-  TailInFed = Results.back().InFedEnd;
-
-  Stats.ShardsUsed = Shards;
-  IterationsDone += Iters;
-  InitDone = true;
-  return Status::ok();
+    ops::accumulate(Folded);
+  if (Bad != Results.begin()) {
+    // The last standing shard ends exactly at the new IterationsDone.
+    Tail = std::move(Bad[-1].Exec);
+    TailInFed = Bad[-1].InFedEnd;
+  }
+  Stats.ShardsUsed = static_cast<int>(Bad - Results.begin());
+  if (Bad == Results.end())
+    return Status::ok();
+  // A shard could not seed: the rest of the span re-runs sequentially on
+  // the tail (a fresh, caught-up executor when shard 0 itself failed).
+  return runSequentially(Iters - (IterationsDone - Results[0].Start),
+                         Bad->St.str(), DL);
 }
 
 void ParallelExecutor::run(size_t NOutputs) {
@@ -393,11 +300,15 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
   const StaticSchedule &S = Prog->schedule();
 
   if (!Prog->shardInfo().Shardable) {
-    // Drive the persistent executor's own output-driven loop directly —
-    // identical behavior (including deadlock diagnostics) to a plain
+    // Drive the tail's own output-driven loop directly — identical
+    // behavior (including deadlock diagnostics) to a plain
     // CompiledExecutor::run.
     Stats = RunStats();
-    if (Status St = runSequentialByOutputs(NOutputs, DL); !St.isOk())
+    if (Status St = advanceTail(DL,
+                                [&](CompiledExecutor &E) {
+                                  return E.tryRun(NOutputs, DL);
+                                });
+        !St.isOk())
       return St;
     Stats.ShardsUsed = 1;
     Stats.Sequential = true;
@@ -416,7 +327,7 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
         static_cast<int64_t>(In.size()) >=
             S.InitExternalPops + 2 * S.SteadyExternalPops +
                 externalLookahead(S)) {
-      CompiledExecutor E(Prog);
+      CompiledExecutor E(Prog, Native);
       ops::CountingScope Off(false);
       E.provideInput(In);
       E.runIterations(1);
@@ -533,7 +444,7 @@ void ExecutorPool::workerLoop() {
     {
       ops::CountingScope Scope(J.Req.CountOps);
       if (J.Req.Eng == Engine::Parallel && !J.Req.Latency) {
-        ParallelExecutor E(Prog);
+        ParallelExecutor E(Prog, Prog->options().Parallel, J.Req.Native);
         E.provideInput(J.Req.Input);
         R.St = E.tryRun(J.Req.NOutputs, DLP);
         if (R.St.isOk())

@@ -6,13 +6,19 @@
 ///
 ///  * **Sharded steady state** (ParallelExecutor): one run's steady
 ///    iterations are split into per-worker shards, each served by an
-///    independent CompiledExecutor instance over the same shared program.
+///    independent CompiledExecutor instance over the same shared program,
+///    running either the op tapes or the program's emitted native module
+///    (codegen/NativeModule.h) — the same bit-identical code in every
+///    shard, so sharding and native code compose.
 ///    Steady-state stream execution composes: the state at iteration k is
 ///    a function of closed-form filter progressions (seeded exactly) plus
 ///    a bounded window of recent data (channel leftovers, delay lines,
 ///    kernel partials), so a worker jumps to its shard boundary by
 ///    seeding and then replaying the schedule's washout depth
 ///    (sched/Schedule.h computeShardBoundary) with outputs discarded.
+///    Shard 0 runs on the calling thread and, from the second call on,
+///    simply continues the previous call's last shard, which ends exactly
+///    where this call starts: no seeding, no washout replay.
 ///    Shard outputs are spliced in order; the result — values AND FLOP
 ///    counts — is bit-identical to a single-threaded run of the same
 ///    iterations. Programs whose state cannot be reconstructed (feedback
@@ -43,6 +49,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -60,9 +67,19 @@ class CompiledExecutor;
 /// every call's iteration span sharded afresh.
 class ParallelExecutor {
 public:
-  /// Uses the parallel knobs baked into the program's options.
+  /// Uses the parallel knobs baked into the program's options, and the
+  /// native module this process already holds for the program
+  /// (NativeModuleCache::find: memory only, never a build); without one
+  /// the shards run the op tapes.
   explicit ParallelExecutor(CompiledProgramRef Program);
   ParallelExecutor(CompiledProgramRef Program, ParallelOptions Opts);
+
+  /// Every executor this object creates — shards, the sequential
+  /// continuation, the print-rate probe — runs \p Native (null: the op
+  /// tapes). Counting runs take the tapes regardless, as in
+  /// CompiledExecutor.
+  ParallelExecutor(CompiledProgramRef Program, ParallelOptions Opts,
+                   codegen::NativeModuleRef Native);
   ~ParallelExecutor();
 
   ParallelExecutor(const ParallelExecutor &) = delete;
@@ -100,59 +117,68 @@ public:
   size_t outputsProduced() const;
   int64_t iterationsDone() const { return IterationsDone; }
   const CompiledProgram &program() const { return *Prog; }
+  /// The module every executor this object creates runs (null: tapes).
+  const codegen::NativeModuleRef &nativeModule() const { return Native; }
 
   /// How the most recent run/runIterations call executed.
   struct RunStats {
     int ShardsUsed = 0;
     int64_t Iterations = 0;        ///< steady iterations this call
     int64_t WarmupIterations = 0;  ///< replayed (discarded) across shards
-    bool Sequential = false;       ///< fell back to one in-place executor
+    /// Ran on one in-place executor (ShardsUsed == 1): the whole call,
+    /// or — after a shard anomaly — the rest of the span past the shards
+    /// that completed before the anomalous one.
+    bool Sequential = false;
     std::string FallbackReason;    ///< why, when Sequential
   };
   const RunStats &lastRunStats() const { return Stats; }
 
 private:
+  /// Where a span starts in an executor's output streams.
+  struct Mark {
+    size_t Out = 0;
+    size_t Printed = 0;
+  };
+
   struct ShardResult {
-    std::vector<double> Out;
-    std::vector<double> Printed;
-    OpCounts Ops;
-    /// The shard's executor, kept alive so the last shard can be adopted
-    /// as the continuation tail (it ends exactly at the new
-    /// IterationsDone).
+    int64_t Start = 0; ///< first steady iteration of the shard
+    int64_t Span = 0;
+    /// The shard's executor: handed in to continue the tail, else created
+    /// by runShard. Its outputs from From onward are the shard's; the
+    /// last shard is adopted as the new tail.
     std::unique_ptr<CompiledExecutor> Exec;
     size_t InFedEnd = 0; ///< global In index fed to Exec so far
-    /// Non-Ok when the shard could not seed or run; its Out/Printed are
-    /// then meaningless and the fan-out must discard every shard.
+    Mark From;
+    OpCounts Ops;
+    /// Non-Ok when the shard could not seed or run; its outputs are then
+    /// meaningless, and so are those of every later shard.
     Status St;
   };
 
+  std::unique_ptr<CompiledExecutor> newExecutor() const;
   int64_t consumedInputItems() const;
-  void runShard(int64_t Start, int64_t Span, bool Counting,
-                const faults::RunDeadline *DL, ShardResult &Result) const;
-  CompiledExecutor &seqExecutor();
-  void spliceSeqOutputs(size_t OutBoundary, size_t PrintBoundary);
-  Status runSequential(int64_t Iters, const faults::RunDeadline *DL);
-  Status runSequentialByOutputs(size_t NOutputs,
-                                const faults::RunDeadline *DL);
-  Status recoverSpanSequentially(int64_t Iters, const std::string &Why,
-                                 const faults::RunDeadline *DL);
+  void feed(CompiledExecutor &E, size_t &Fed) const;
+  void splice(const CompiledExecutor &E, Mark From);
+  void runShard(ShardResult &R, bool Counting,
+                const faults::RunDeadline *DL) const;
+  Status advanceTail(const faults::RunDeadline *DL,
+                     const std::function<Status(CompiledExecutor &)> &Step);
+  Status runSequentially(int64_t Iters, const std::string &Why,
+                         const faults::RunDeadline *DL);
 
   CompiledProgramRef Prog;
   ParallelOptions Opts;
+  codegen::NativeModuleRef Native; ///< null: op tapes
   std::vector<double> In; ///< full logical input stream, never trimmed
   std::vector<double> ExtOut;
   std::vector<double> Printed;
   int64_t IterationsDone = 0;
   bool InitDone = false;
   RunStats Stats;
-  /// Sequential fallback (unshardable programs) keeps real state across
-  /// calls.
-  std::unique_ptr<CompiledExecutor> Seq;
-  size_t SeqInFed = 0; ///< items of In already handed to Seq
-  /// Continuation tail for shardable programs: the previous call's last
-  /// shard executor, positioned exactly at IterationsDone. Short
-  /// follow-up spans run it forward directly — no re-seeding, no washout
-  /// replay, no thread spawn.
+  /// The continuation, positioned exactly at IterationsDone: the
+  /// previous call's last shard, or an unshardable program's one
+  /// sequential executor. It runs the next call's shard 0 (or whole
+  /// span) forward directly — no re-seeding, no washout replay.
   std::unique_ptr<CompiledExecutor> Tail;
   size_t TailInFed = 0;
   /// Lazily probed outputs-per-iteration for print-driven graphs.
@@ -176,11 +202,13 @@ public:
     /// Compiled runs the op tapes; Native runs \p Native when non-null
     /// (the caller resolves the module — a null module IS the compiled
     /// engine, the degradation ladder's last rung); Parallel runs the
-    /// sharded backend, which itself falls back to an equivalent
+    /// sharded backend with \p Native in every shard (tape or native ×
+    /// worker threads), which itself falls back to an equivalent
     /// sequential run on shard anomalies. Dynamic is not a pool engine
     /// and is served as Compiled.
     Engine Eng = Engine::Compiled;
-    codegen::NativeModuleRef Native; ///< pre-resolved Engine::Native module
+    /// Pre-resolved module for Native and Parallel (null: op tapes).
+    codegen::NativeModuleRef Native;
     int64_t DeadlineMillis = 0;      ///< > 0: wall-clock run deadline
     /// Latency mode: single steady iterations (bounded
     /// time-to-first-output) instead of fused batches. Runs on a

@@ -165,16 +165,17 @@ RunResponse Admission::run(const RunRequest &R) {
   Req.DeadlineMillis =
       R.DeadlineMillis > 0 ? R.DeadlineMillis : Cfg.DefaultDeadlineMillis;
 
-  if (R.Eng == Engine::Native) {
+  if (R.Eng == Engine::Native || R.Eng == Engine::Parallel) {
     // Resolve the program's native module once; unavailability is the
-    // degradation ladder, not an error.
+    // degradation ladder, not an error. Parallel runs it in every shard
+    // and, without one, shards the op tapes: a full rung of its own.
     std::lock_guard<std::mutex> Lock(E->NativeMutex);
     if (!E->NativeResolved) {
       E->Native = codegen::NativeModuleCache::global().get(
           *E->Prog, &E->NativeDegradeReason);
       E->NativeResolved = true;
     }
-    if (E->Native) {
+    if (E->Native || R.Eng == Engine::Parallel) {
       Req.Native = E->Native;
     } else {
       Resp.Degraded = true;

@@ -111,8 +111,9 @@ private:
     std::string Name;
     CompiledProgramRef Prog;
     std::unique_ptr<ExecutorPool> Pool;
-    /// Engine::Native module, resolved once on first use (null after a
-    /// degradation; Reason records why).
+    /// Native module for Engine::Native and Engine::Parallel requests,
+    /// resolved once on first use (null after a degradation; Reason
+    /// records why).
     std::mutex NativeMutex;
     bool NativeResolved = false;
     codegen::NativeModuleRef Native;

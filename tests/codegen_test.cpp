@@ -4,7 +4,8 @@
 // literal round trips, bit-identity of emitted tape code and emitted
 // linear batch kernels against the op-tape interpreter, the warm-restart
 // path (a stored .so dlopens with zero compiler passes and zero codegen),
-// the SLIN_NO_CACHE disk-tier bypass, clean degradation without a
+// the SLIN_NO_CACHE disk-tier bypass, object keys that make an object
+// built for another compiler or host ISA a miss, clean degradation without a
 // toolchain (SLIN_CXX=/nonexistent) and under SLIN_NO_NATIVE, the
 // pipeline's native-codegen pass bookkeeping, and FLOP-count preservation
 // (counting runs fall back to the tapes, so Engine::Native reports the
@@ -20,6 +21,7 @@
 #include "compiler/ArtifactStore.h"
 #include "compiler/Pipeline.h"
 #include "compiler/Program.h"
+#include "compiler/StructuralHash.h"
 #include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
 #include "support/OpCounters.h"
@@ -415,6 +417,64 @@ TEST(NativeCodegen, NoCacheEnvBypassesNativeObjectDiskTier) {
   }
 
   // Control: without the env the same cold cache disk-hits.
+  C.clear();
+  C.resetStats();
+  ASSERT_NE(C.get(*P), nullptr);
+  EXPECT_EQ(C.stats().DiskHits, 1u);
+  EXPECT_EQ(C.stats().Compiles, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Object keys: compiler identity, flags and host ISA
+//===----------------------------------------------------------------------===//
+
+TEST(NativeCodegen, ObjectKeyCoversCompilerAndHostIsa) {
+  const std::string Isa = codegen::hostIsaFingerprint();
+  EXPECT_FALSE(Isa.empty());
+  const HashDigest Local = codegen::objectBuildDigest();
+  EXPECT_EQ(Local, codegen::objectBuildDigest(Isa));
+  EXPECT_NE(Local, codegen::objectBuildDigest(Isa + " avx512f"));
+  EnvGuard CXX("SLIN_CXX", "/nonexistent/slin-test-cxx");
+  EXPECT_NE(codegen::objectBuildDigest(), Local);
+}
+
+TEST(NativeCodegen, ObjectFromAForeignHostIsAMissNeverDlopened) {
+  if (!haveToolchain())
+    GTEST_SKIP() << "no C++ toolchain available";
+  StoreGuard SG;
+  NativeGuard NG;
+  codegen::NativeModuleCache &C = codegen::NativeModuleCache::global();
+  StreamPtr Root = firSourcePipeline({1.75, -0.25, 0.5, 2.0});
+  CompiledProgramRef P = makeProgram(*Root);
+  std::string Reason;
+  if (!C.get(*P, &Reason))
+    GTEST_SKIP() << Reason;
+  ASSERT_EQ(SG.objectCount(), 1u);
+
+  // Move the object to where a host with another ISA would publish it.
+  // It would load fine here, so only its key keeps it out: on the host
+  // it was really built for, it could die with SIGILL.
+  ArtifactStore::Key K{structuralHash(P->root()), hashOptions(P->options())};
+  ArtifactStore *Store = ArtifactStore::global();
+  const std::string Local =
+      Store->objectPathFor(K, codegen::objectBuildDigest());
+  const std::string Foreign =
+      Store->objectPathFor(K, codegen::objectBuildDigest("foreign-isa"));
+  ASSERT_NE(Local, Foreign);
+  ASSERT_EQ(std::rename(Local.c_str(), Foreign.c_str()), 0);
+
+  // A cold cache misses, rebuilds and publishes under this host's key;
+  // the foreign object is never opened (not even to fail and evict it).
+  C.clear();
+  C.resetStats();
+  ASSERT_NE(C.get(*P), nullptr);
+  EXPECT_EQ(C.stats().DiskHits, 0u);
+  EXPECT_EQ(C.stats().DlopenFailures, 0u);
+  EXPECT_EQ(C.stats().Compiles, 1u);
+  EXPECT_TRUE(std::filesystem::exists(Foreign));
+  EXPECT_TRUE(std::filesystem::exists(Local));
+
+  // Control: the next cold cache on this host disk-hits the rebuild.
   C.clear();
   C.resetStats();
   ASSERT_NE(C.get(*P), nullptr);

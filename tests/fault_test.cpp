@@ -607,7 +607,8 @@ void expectSeedCorruptFallback(bool Persistent) {
   ASSERT_TRUE(St.isOk()) << St.str();
   EXPECT_GE(faults::hitCount(faults::Point::ShardSeedCorrupt), 1u);
 
-  // The whole span re-ran sequentially, recorded as such...
+  // The span past the first anomalous shard re-ran sequentially,
+  // recorded as such...
   ParallelExecutor::RunStats Stats = E.lastRunStats();
   EXPECT_TRUE(Stats.Sequential);
   EXPECT_EQ(Stats.ShardsUsed, 1);
@@ -646,6 +647,38 @@ TEST(ParallelFallback, NextSpanAfterFallbackContinuesCleanly) {
   ASSERT_TRUE(E.tryRunIterations(120).isOk()); // fault spent: shards again
   EXPECT_FALSE(E.lastRunStats().Sequential);
   EXPECT_EQ(E.printed(), Ref.printed());
+}
+
+TEST(ParallelFallback, NativeShardsFallBackBitIdentically) {
+  // The same anomaly with the emitted module in every shard and in the
+  // sequential remainder (a non-counting run, so native code executes).
+  FaultGuard G;
+  StreamPtr Root = firSourcePipeline({1.5, -2.25, 3.0, 0.5, -0.125, 7.0});
+  CompiledProgramRef P = makeProgram(*Root);
+  std::string Reason;
+  codegen::NativeModuleRef M =
+      codegen::NativeModuleCache::global().get(*P, &Reason);
+  if (!M)
+    GTEST_SKIP() << Reason;
+
+  CompiledExecutor Ref(P);
+  Ref.runIterations(300);
+
+  ParallelOptions PO;
+  PO.Workers = 4;
+  PO.ShardMinIterations = 2;
+  for (bool Persistent : {false, true}) {
+    SCOPED_TRACE(Persistent ? "persistent" : "one-shot");
+    faults::reset();
+    faults::arm(faults::Point::ShardSeedCorrupt, 1, Persistent);
+    ParallelExecutor E(P, PO, M);
+    ops::CountingScope Off(false);
+    ASSERT_TRUE(E.tryRunIterations(150).isOk());
+    EXPECT_TRUE(E.lastRunStats().Sequential);
+    ASSERT_TRUE(E.tryRunIterations(150).isOk());
+    EXPECT_EQ(E.lastRunStats().Sequential, Persistent);
+    EXPECT_EQ(E.printed(), Ref.printed());
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,21 +3,24 @@
 // The parallel backend's contract: sharded runs are *bit-identical* to
 // single-threaded CompiledExecutor runs — output values, printed values
 // AND FLOP counts — across the test graphs and every benchmark x
-// optimization configuration; programs whose shard-boundary state cannot
-// be reconstructed degrade to an equivalent sequential run. Plus the
-// executor pool, the concurrency stress tests, the ProgramCache
+// optimization configuration, on the op tapes and with the program's
+// native module in every shard; programs whose shard-boundary state
+// cannot be reconstructed degrade to an equivalent sequential run. Plus
+// the executor pool, the concurrency stress tests, the ProgramCache
 // options-keying regression and AnalysisManager eviction.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Benchmarks.h"
 #include "apps/Dsp.h"
+#include "codegen/NativeModule.h"
 #include "compiler/AnalysisManager.h"
 #include "compiler/Program.h"
 #include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
 #include "exec/Parallel.h"
 #include "opt/Optimizer.h"
+#include "support/RuntimeConfig.h"
 #include "TestGraphs.h"
 
 #include <gtest/gtest.h>
@@ -71,6 +74,28 @@ RefRun parallelRun(CompiledProgramRef P, int64_t Iters, ParallelOptions Opts,
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
   E.runIterations(Iters);
+  R.Ops = ops::counts() - Before;
+  R.Out = E.outputSnapshot();
+  R.Printed = E.printed();
+  if (Stats)
+    *Stats = E.lastRunStats();
+  return R;
+}
+
+/// A sharded run with \p M in every shard (null: op tapes), split into
+/// calls of \p Spans iterations. Counting runs take the op tapes
+/// (emitted code does no accounting), so \p Counting selects between
+/// checking op counts and executing the native code.
+RefRun shardedRun(CompiledProgramRef P, std::vector<int64_t> Spans,
+                  ParallelOptions Opts, codegen::NativeModuleRef M,
+                  bool Counting, ParallelExecutor::RunStats *Stats = nullptr) {
+  RefRun R;
+  ParallelExecutor E(P, Opts, M);
+  EXPECT_EQ(E.nativeModule(), M);
+  ops::CountingScope Scope(Counting);
+  OpCounts Before = ops::counts();
+  for (int64_t Span : Spans)
+    E.runIterations(Span);
   R.Ops = ops::counts() - Before;
   R.Out = E.outputSnapshot();
   R.Printed = E.printed();
@@ -304,6 +329,33 @@ TEST(ParallelContinuation, SingleShardCallsContinueTheAdoptedTail) {
   EXPECT_TRUE(Ref.Ops == Ops);
 }
 
+TEST(ParallelContinuation, FanOutAfterACallContinuesTheTailAsShardZero) {
+  // From the second call on, shard 0 continues the adopted tail: only
+  // the other Shards - 1 shards seed and replay the washout.
+  StreamPtr Root = shardGraphs()[0].Build(); // PeekingFIR, washout 7
+  CompiledProgramRef P = makeProgram(*Root);
+  ASSERT_TRUE(P->shardInfo().Shardable);
+  int64_t W = P->shardInfo().WashoutIterations;
+  ASSERT_GT(W, 0);
+
+  RefRun Ref = referenceRun(P, 60 + 150);
+
+  ParallelOptions PO;
+  PO.Workers = 3;
+  PO.ShardMinIterations = 2;
+  ParallelExecutor E(P, PO);
+  ops::CountingScope Scope;
+  OpCounts Before = ops::counts();
+  E.runIterations(60);
+  E.runIterations(150);
+  OpCounts Ops = ops::counts() - Before;
+  EXPECT_EQ(E.lastRunStats().ShardsUsed, 3);
+  EXPECT_EQ(E.lastRunStats().WarmupIterations, (3 - 1) * W);
+  EXPECT_FALSE(E.lastRunStats().Sequential);
+  EXPECT_EQ(Ref.Printed, E.printed());
+  EXPECT_TRUE(Ref.Ops == Ops);
+}
+
 TEST(ParallelRunByOutputs, ProbedPrintRatesReachTarget) {
   StreamPtr Root = shardGraphs()[1].Build(); // RateMismatch (print-driven)
   CompiledProgramRef P = makeProgram(*Root);
@@ -318,7 +370,8 @@ TEST(ParallelRunByOutputs, ProbedPrintRatesReachTarget) {
 }
 
 //===----------------------------------------------------------------------===//
-// Benchmarks x configurations (the equivalence suite, sharded)
+// Benchmarks x configurations (the equivalence suite, sharded on the op
+// tapes and with the native module in every shard)
 //===----------------------------------------------------------------------===//
 
 struct BenchCase {
@@ -353,39 +406,98 @@ std::vector<BenchCase> benchCases() {
 class BenchmarkShardedEquivalence : public ::testing::TestWithParam<BenchCase> {
 };
 
-TEST_P(BenchmarkShardedEquivalence, BitIdenticalToSingleThread) {
-  const BenchCase &C = GetParam();
+CompiledProgramRef benchProgram(const BenchCase &C) {
   StreamPtr Base;
   for (const BenchmarkEntry &B : allBenchmarks())
     if (B.Name == C.Benchmark)
       Base = B.Build();
-  ASSERT_NE(Base, nullptr);
+  EXPECT_NE(Base, nullptr);
   OptimizerOptions O;
   O.Mode = C.Mode;
-  StreamPtr Opt = optimize(*Base, O);
-  CompiledProgramRef P = makeProgram(*Opt);
+  return makeProgram(*optimize(*Base, O));
+}
 
-  ParallelOptions PO;
-  PO.Workers = 4;
-  PO.ShardMinIterations = 4;
-  int64_t S = spanFor(*P, PO.Workers);
-
+TEST_P(BenchmarkShardedEquivalence, BitIdenticalToSingleThread) {
+  CompiledProgramRef P = benchProgram(GetParam());
+  int64_t S = spanFor(*P, 4);
   RefRun Ref = referenceRun(P, S);
-  ParallelExecutor::RunStats Stats;
-  RefRun Par = parallelRun(P, S, PO, {}, &Stats);
 
-  EXPECT_EQ(Ref.Out, Par.Out);
-  EXPECT_EQ(Ref.Printed, Par.Printed);
-  EXPECT_TRUE(Ref.Ops == Par.Ops)
-      << "flops " << Ref.Ops.flops() << " vs " << Par.Ops.flops();
-  // DToA's feedback loop (and any opaque state) must degrade, not break.
-  if (!P->shardInfo().Shardable) {
-    EXPECT_TRUE(Stats.Sequential);
+  // Native x Sharded: the program's emitted module in every shard. The
+  // counting runs take the op tapes (emitted code does no accounting) and
+  // check FLOPs; the non-counting runs execute the native code.
+  std::string Reason;
+  codegen::NativeModuleRef M =
+      codegen::NativeModuleCache::global().get(*P, &Reason);
+  for (int Workers : {2, 4}) {
+    SCOPED_TRACE("workers " + std::to_string(Workers));
+    ParallelOptions PO;
+    PO.Workers = Workers;
+    PO.ShardMinIterations = 4;
+    ParallelExecutor::RunStats Stats;
+    RefRun Counted = shardedRun(P, {S}, PO, M, true, &Stats);
+    EXPECT_EQ(Ref.Out, Counted.Out);
+    EXPECT_EQ(Ref.Printed, Counted.Printed);
+    EXPECT_TRUE(Ref.Ops == Counted.Ops)
+        << "flops " << Ref.Ops.flops() << " vs " << Counted.Ops.flops();
+    // DToA's feedback loop (and any opaque state) must degrade, not break.
+    EXPECT_EQ(Stats.Sequential, !P->shardInfo().Shardable);
+    if (!M)
+      continue;
+    // At 2 workers the native run is split in two calls — the second
+    // continues the tail — and must still equal one run.
+    std::vector<int64_t> Spans = {S};
+    if (Workers == 2)
+      Spans = {S / 3, S - S / 3};
+    RefRun Native = shardedRun(P, Spans, PO, M, false, &Stats);
+    EXPECT_EQ(Ref.Out, Native.Out);
+    EXPECT_EQ(Ref.Printed, Native.Printed);
+    EXPECT_EQ(Stats.Sequential, !P->shardInfo().Shardable);
   }
+  if (!M)
+    GTEST_SKIP() << "tapes only: " << Reason;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkShardedEquivalence,
                          ::testing::ValuesIn(benchCases()), benchCaseName);
+
+TEST(ParallelNative, ProgramOnlyConstructorsTakeOnlyAHeldModule) {
+  // A program this process never resolved a module for: the
+  // program-only constructors look in memory only — no build, no disk
+  // probe — and the shards run the op tapes.
+  auto Root = std::make_unique<Pipeline>("held-module");
+  Root->add(makeCountingSource());
+  Root->add(makeFIR({0.75, -1.25, 2.5, 3.125, -0.5}, "heldfir"));
+  Root->add(makePrinterSink());
+  CompiledProgramRef P = makeProgram(*Root);
+  codegen::NativeModuleCache &C = codegen::NativeModuleCache::global();
+  codegen::NativeModuleCache::Stats Before = C.stats();
+  ParallelOptions PO;
+  PO.Workers = 2;
+  {
+    ParallelExecutor E(P, PO);
+    EXPECT_EQ(E.nativeModule(), nullptr);
+    E.runIterations(64);
+    EXPECT_EQ(E.printed(), referenceRun(P, 64).Printed);
+  }
+  EXPECT_EQ(C.stats().Compiles, Before.Compiles);
+  EXPECT_EQ(C.stats().Misses, Before.Misses);
+  EXPECT_EQ(C.stats().DiskHits, Before.DiskHits);
+
+  // Once the process holds one, both constructors pick it up...
+  std::string Reason;
+  codegen::NativeModuleRef M = C.get(*P, &Reason);
+  if (!M)
+    GTEST_SKIP() << Reason;
+  EXPECT_EQ(ParallelExecutor(P, PO).nativeModule(), M);
+  EXPECT_EQ(ParallelExecutor(P).nativeModule(), M);
+  // ...unless native code is switched off.
+  RuntimeConfig Saved = RuntimeConfig::current();
+  RuntimeConfig Off = Saved;
+  Off.NoNative = true;
+  RuntimeConfig::set(Off);
+  EXPECT_EQ(ParallelExecutor(P, PO).nativeModule(), nullptr);
+  RuntimeConfig::set(Saved);
+}
 
 //===----------------------------------------------------------------------===//
 // Measurement over the parallel engine
