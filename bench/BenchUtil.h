@@ -71,10 +71,10 @@ inline double &compileSecondsTotal() {
 }
 
 inline Measurement measureConfig(const Stream &Root,
-                                 const OptimizerOptions &Opts,
+                                 const PipelineOptions &Opts,
                                  const std::string &Name, bool MeasureTime,
                                  Engine Eng = Engine::Dynamic) {
-  OptimizerOptions O = Opts;
+  PipelineOptions O = Opts;
   if (cachesDisabled()) {
     O.AM = &passThroughAM();
     O.UseProgramCache = false;

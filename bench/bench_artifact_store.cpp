@@ -47,9 +47,9 @@ StreamPtr buildByName(const std::string &Name) {
 
 /// The fig 5-1 serving configuration: AutoSel with the compiled engine's
 /// measured cost model (the most expensive compile path in the harness).
-OptimizerOptions servingConfig() {
+PipelineOptions servingConfig() {
   static const MeasuredCostModel CompiledModel{Engine::Compiled};
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::AutoSel;
   O.Model = &CompiledModel;
   O.Exec.Eng = Engine::Compiled;
@@ -103,7 +103,7 @@ int serve(const std::string &Dir) {
                      : std::vector<double>();
 
     // Reference: a from-scratch compile that never touches the store.
-    OptimizerOptions Cold = servingConfig();
+    PipelineOptions Cold = servingConfig();
     AnalysisManager PassThrough;
     PassThrough.setEnabled(false);
     Cold.AM = &PassThrough;
@@ -145,7 +145,7 @@ int coldWarmReport() {
     // In-memory-cold: the pre-artifact restart price (every cache empty
     // and unused, as under SLIN_NO_CACHE).
     ArtifactStore::setGlobalDir("");
-    OptimizerOptions Cold = servingConfig();
+    PipelineOptions Cold = servingConfig();
     AnalysisManager PassThrough;
     PassThrough.setEnabled(false);
     Cold.AM = &PassThrough;

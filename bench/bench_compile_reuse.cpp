@@ -48,7 +48,7 @@ int main() {
         ProgramCache::global().clear();
       }
       auto Start = std::chrono::steady_clock::now();
-      OptimizerOptions O;
+      PipelineOptions O;
       O.Mode = OptMode::AutoSel;
       O.Model = &CompiledModel;
       StreamPtr Opt = optimize(*Root, O);

@@ -24,7 +24,7 @@ int main() {
   printRule(76);
   for (int Taps = 2; Taps <= 64; Taps += Taps < 16 ? 1 : 4) {
     StreamPtr Root = buildFIR(Taps);
-    OptimizerOptions O;
+    PipelineOptions O;
     O.Mode = OptMode::Base;
     Measurement Base = measureConfig(*Root, O, "FIR", true);
     O.Mode = OptMode::Redundancy;

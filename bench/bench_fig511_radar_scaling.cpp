@@ -32,7 +32,7 @@ int main() {
       P.Channels = Channels;
       P.Beams = Beams;
       StreamPtr Root = buildRadar(P);
-      OptimizerOptions O;
+      PipelineOptions O;
       O.Mode = OptMode::Base;
       Measurement Base = measureConfig(*Root, O, "Radar", false);
       O.Mode = OptMode::Linear;

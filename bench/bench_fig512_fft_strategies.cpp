@@ -25,7 +25,7 @@ namespace {
 
 double reductionFactor(const Stream &Root, int FFTSize, bool Optimized,
                        FFTTier Tier, double BaseMults) {
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Freq;
   O.Freq.FFTSizeOverride = FFTSize;
   O.Freq.Optimized = Optimized;
@@ -70,7 +70,7 @@ int main() {
           Factor = E / theoreticalFreqMultsPerOutput(E, N);
         } else {
           StreamPtr Root = buildFIR(E);
-          OptimizerOptions OB;
+          PipelineOptions OB;
           OB.Mode = OptMode::Base;
           Measurement Base = measureConfig(*Root, OB, "FIR", false);
           bool Optimized = Series[0] != 'b';

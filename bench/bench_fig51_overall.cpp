@@ -34,7 +34,7 @@ int main() {
     StreamPtr Root = B.Build();
     Row R;
     R.Name = B.Name;
-    OptimizerOptions O;
+    PipelineOptions O;
     O.Mode = OptMode::Base;
     R.Base = measureConfig(*Root, O, B.Name, true);
     R.BaseC = measureConfig(*Root, O, B.Name, true, Engine::Compiled);

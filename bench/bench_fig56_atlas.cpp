@@ -26,7 +26,7 @@ int main() {
   int Count = 0;
   for (const BenchmarkEntry &B : allBenchmarks()) {
     StreamPtr Root = B.Build();
-    OptimizerOptions O;
+    PipelineOptions O;
     O.Mode = OptMode::Base;
     Measurement Base = measureConfig(*Root, O, B.Name, true);
     O.Mode = OptMode::Linear;

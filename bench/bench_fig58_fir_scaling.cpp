@@ -41,7 +41,7 @@ int main() {
   for (int Taps = 4; Taps <= 128; Taps += Taps < 16 ? 2 : 8) {
     StreamPtr Root = buildFIR(Taps);
     std::string T = std::to_string(Taps);
-    OptimizerOptions O;
+    PipelineOptions O;
     O.Mode = OptMode::Base;
     Measurement Base = measureConfig(*Root, O, "FIR", true);
     Measurement BaseC =

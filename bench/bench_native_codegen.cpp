@@ -60,7 +60,7 @@ int main() {
     StreamPtr Root = buildFIR(Taps);
     std::string T = std::to_string(Taps);
     for (OptMode Mode : {OptMode::Base, OptMode::Linear}) {
-      OptimizerOptions O;
+      PipelineOptions O;
       O.Mode = Mode;
       Measurement Tape =
           measureConfig(*Root, O, "FIR", true, Engine::Compiled);

@@ -70,7 +70,7 @@ int main() {
     for (const BenchmarkEntry &B : allBenchmarks())
       if (B.Name == C.Name)
         Root = B.Build();
-    OptimizerOptions O;
+    PipelineOptions O;
     O.Mode = C.Mode;
     StreamPtr Opt = optimize(*Root, O);
     auto Program =

@@ -39,7 +39,7 @@ int main() {
   for (Cfg C : {Cfg{"maximal linear", OptMode::Linear},
                 Cfg{"maximal frequency", OptMode::Freq},
                 Cfg{"automatic selection", OptMode::AutoSel}}) {
-    OptimizerOptions O;
+    PipelineOptions O;
     O.Mode = C.Mode;
     StreamPtr Opt = optimize(*Radar, O);
     Measurement M = measureSteadyState(*Opt, MO);

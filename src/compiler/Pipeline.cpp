@@ -15,6 +15,7 @@
 #include "support/FaultInjection.h"
 #include "support/RuntimeConfig.h"
 #include "verify/Lint.h"
+#include "verify/Schedule.h"
 
 #include <chrono>
 #include <cstdio>
@@ -399,32 +400,20 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
                   R.Program->options().BatchIterations);
     R.Passes.push_back({"tape-compile", BS.TapeSeconds, Buf});
     if (Opts.VerifyAfterEachPass) {
-      // Cross-check the freshly computed static schedule against an
-      // independent replay (cache and artifact hits were verified when
-      // first compiled; disk loads rerun the same lowering on the same
-      // checksum-validated tree).
-      std::string Err = runPass(R, "verify-schedule", [&] {
-        return verifySchedule(R.Program->graph(), R.Program->schedule());
-      });
-      R.Passes.back().Note = "after lower";
-      if (!Err.empty()) {
-        std::string Msg =
-            "schedule verification failed after lowering: " + Err;
-        if (!St)
-          fatalError(Msg);
-        *St = Status(ErrorCode::VerifyFailed, Msg);
-        return R;
-      }
-      // The abstract-interpretation linter (src/verify/): three
-      // independent oracles over the op tapes and schedule the
-      // downstream engines are about to trust.
+      // The post-lowering verifiers (src/verify/): the schedule oracle,
+      // then three independent oracles over the op tapes, all checking
+      // what the downstream engines are about to trust. Cache and
+      // artifact hits were verified when first compiled; disk loads rerun
+      // the same lowering on the same checksum-validated tree.
       struct LintPass {
         const char *Name;
         std::string (*Run)(const CompiledProgram &, verify::LintReport &);
       };
-      const LintPass LintPasses[] = {{"verify-linear", verify::verifyLinear},
-                                     {"verify-bounds", verify::verifyBounds},
-                                     {"verify-state", verify::verifyState}};
+      const LintPass LintPasses[] = {
+          {"verify-schedule", verify::verifySchedule},
+          {"verify-linear", verify::verifyLinear},
+          {"verify-bounds", verify::verifyBounds},
+          {"verify-state", verify::verifyState}};
       verify::LintReport Report;
       for (const LintPass &LP : LintPasses) {
         std::string LintErr =

@@ -11,7 +11,7 @@
 /// lookup.
 ///
 /// PipelineOptions is the single options struct for the whole stack:
-/// what used to be scattered across OptimizerOptions, MeasureOptions'
+/// what used to be scattered across the optimizer options, MeasureOptions'
 /// engine fields, and per-engine knob structs. `optimize()` and friends
 /// (opt/Optimizer.h) are thin wrappers over CompilerPipeline::compile.
 ///
@@ -77,10 +77,11 @@ struct PipelineOptions {
   /// delete splitjoin branches whose outputs are never consumed (and
   /// the channels feeding them). Never runs in Base mode.
   bool DeadChannelElim = true;
-  /// VerifyRates (opt/Cleanup.h): re-derive the balance equations after
-  /// every rewrite pass and cross-check the static schedule after
-  /// lowering, aborting with the offending pass's name on any
-  /// inconsistency. Defaults to the SLIN_VERIFY environment variable.
+  /// Verifiers (verify/Schedule.h, verify/Lint.h): re-derive the balance
+  /// equations after every rewrite pass and run the four lint passes
+  /// (schedule, linearity, bounds, state) after lowering, aborting with
+  /// the offending pass's name on any inconsistency. Defaults to the
+  /// SLIN_VERIFY environment variable.
   bool VerifyAfterEachPass = defaultVerifyAfterEachPass();
 
   /// Engine selection + knobs. With Engine::Compiled, compile() also

@@ -71,7 +71,7 @@ void nativeFail(const char *Msg) { fatalError(Msg); }
 // Construction
 //===----------------------------------------------------------------------===//
 
-CompiledExecutor::CompiledExecutor(const Stream &Root, Options Opts)
+CompiledExecutor::CompiledExecutor(const Stream &Root, CompiledOptions Opts)
     : CompiledExecutor(std::make_shared<const CompiledProgram>(Root, Opts)) {}
 
 CompiledExecutor::CompiledExecutor(CompiledProgramRef Program)

@@ -48,16 +48,12 @@ namespace slin {
 /// executors — the "compile once, serve many runs" split.
 class CompiledExecutor {
 public:
-  /// Knobs live in exec/ExecOptions.h (shared with the unified
-  /// ExecOptions struct); the alias keeps `CompiledExecutor::Options`.
-  using Options = CompiledOptions;
-
   /// Convenience constructors compiling a fresh private program (not
   /// routed through the ProgramCache; see exec/Measure.h for the cached
   /// path).
   explicit CompiledExecutor(const Stream &Root)
-      : CompiledExecutor(Root, Options()) {}
-  CompiledExecutor(const Stream &Root, Options Opts);
+      : CompiledExecutor(Root, CompiledOptions()) {}
+  CompiledExecutor(const Stream &Root, CompiledOptions Opts);
 
   /// Instantiates runtime state over a shared artifact.
   explicit CompiledExecutor(CompiledProgramRef Program);

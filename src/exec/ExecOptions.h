@@ -6,8 +6,7 @@
 /// pipeline, the program cache and the bench harnesses all carry an
 /// ExecOptions instead of parallel (engine, executor-options, batch-
 /// iterations) fields. The per-engine structs live here — away from the
-/// engine headers — so option-only consumers stay light; the engines
-/// alias them (`Executor::Options`, `CompiledExecutor::Options`).
+/// engine headers — so option-only consumers stay light.
 ///
 //===----------------------------------------------------------------------===//
 

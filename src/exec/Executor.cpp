@@ -54,7 +54,7 @@ private:
 // Construction
 //===----------------------------------------------------------------------===//
 
-Executor::Executor(const Stream &Root, Options Opts)
+Executor::Executor(const Stream &Root, DynamicOptions Opts)
     : Opts(Opts), Graph(Root) {
   Channels.resize(Graph.numChannels());
   for (size_t C = 0; C != Channels.size(); ++C)

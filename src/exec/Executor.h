@@ -29,12 +29,8 @@ namespace slin {
 
 class Executor {
 public:
-  /// Knobs live in exec/ExecOptions.h (shared with the unified
-  /// ExecOptions struct); the alias keeps `Executor::Options` spelling.
-  using Options = DynamicOptions;
-
-  explicit Executor(const Stream &Root) : Executor(Root, Options()) {}
-  Executor(const Stream &Root, Options Opts);
+  explicit Executor(const Stream &Root) : Executor(Root, DynamicOptions()) {}
+  Executor(const Stream &Root, DynamicOptions Opts);
   ~Executor();
 
   Executor(const Executor &) = delete;
@@ -87,7 +83,7 @@ private:
   void fire(size_t I);
   size_t inputAvailable(const flat::Node &N) const;
 
-  Options Opts;
+  DynamicOptions Opts;
   flat::FlatGraph Graph;
   std::vector<NodeState> States;
   std::vector<Channel> Channels;

@@ -1,8 +1,9 @@
-//===- opt/Cleanup.h - Cleanup and verification passes ----------*- C++ -*-===//
+//===- opt/Cleanup.h - Cleanup passes ---------------------------*- C++ -*-===//
 ///
 /// \file
-/// The compiler pipeline's cleanup and verification passes, run after the
-/// paper's replacement/selection transforms (compiler/Pipeline.h):
+/// The compiler pipeline's two cleanup rewrites, run after the paper's
+/// replacement/selection transforms (compiler/Pipeline.h). The rate and
+/// schedule verifiers that check their output live in verify/Schedule.h.
 ///
 ///  * **LinearConstFold** — rebuilds generated linear filters whose
 ///    coefficient matrices carry compile-time-constant structure:
@@ -27,18 +28,6 @@
 ///    collapse to that branch. The flat graph and schedule are
 ///    recomputed downstream, so the dead channels' buffers disappear.
 ///
-///  * **VerifyRates** — assertion passes: verifyStreamRates re-derives
-///    the push/pop/peek balance equations of the (rewritten) stream
-///    hierarchy and reports the first inconsistency as a string instead
-///    of executing anything; verifySchedule replays a lowered program's
-///    init/steady/batch firing programs symbolically against the flat
-///    graph and cross-checks every cached StaticSchedule field
-///    (repetitions, firing counts, channel occupancy, high-water marks,
-///    buffer capacities, external I/O accounting). The pipeline runs
-///    them after every rewrite when PipelineOptions::VerifyAfterEachPass
-///    is set (default: the SLIN_VERIFY environment variable), failing
-///    fast with the offending pass's name.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLIN_OPT_CLEANUP_H
@@ -53,10 +42,6 @@
 namespace slin {
 
 class AnalysisManager;
-struct StaticSchedule;
-namespace flat {
-struct FlatGraph;
-}
 
 /// What the cleanup passes changed, for pass notes and tests.
 struct CleanupStats {
@@ -93,19 +78,6 @@ StreamPtr eliminateDeadChannels(const Stream &Root, CleanupStats &Stats);
 /// True if any work/init-work function in \p S contains a print
 /// statement (the only externally observable effect a stream can have).
 bool hasObservableEffects(const Stream &S);
-
-/// Re-derives the balance equations of \p Root; returns the first
-/// inconsistency ("" when the graph has a valid steady state). Also
-/// rejects negative rates, peek < pop windows and malformed init rates.
-std::string verifyStreamRates(const Stream &Root);
-
-/// Cross-checks \p S against \p G: independent balance of Repetitions, a
-/// firing-accurate symbolic replay of the init, batch and steady
-/// programs (channel underflow, unsatisfied peek windows, firing-count
-/// totals), and equality of every derived schedule field (PostInitLive,
-/// ChannelHighWater, ChannelBufSize, external pops/needs/pushes).
-/// Returns the first mismatch, "" when consistent.
-std::string verifySchedule(const flat::FlatGraph &G, const StaticSchedule &S);
 
 } // namespace slin
 

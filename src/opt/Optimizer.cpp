@@ -4,7 +4,7 @@
 
 using namespace slin;
 
-StreamPtr slin::optimize(const Stream &Root, const OptimizerOptions &Opts) {
+StreamPtr slin::optimize(const Stream &Root, const PipelineOptions &Opts) {
   // Route through the pass pipeline; the transform result is the
   // optimized stream (lowering only happens for compiled-engine options).
   return CompilerPipeline(Opts).compile(Root).Optimized;
@@ -13,21 +13,21 @@ StreamPtr slin::optimize(const Stream &Root, const OptimizerOptions &Opts) {
 StreamPtr slin::optimizeBase(const Stream &Root) { return Root.clone(); }
 
 StreamPtr slin::optimizeLinear(const Stream &Root, bool Combine) {
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Linear;
   O.Combine = Combine;
   return optimize(Root, O);
 }
 
 StreamPtr slin::optimizeFreq(const Stream &Root, bool Combine) {
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Freq;
   O.Combine = Combine;
   return optimize(Root, O);
 }
 
 StreamPtr slin::optimizeAutoSel(const Stream &Root) {
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::AutoSel;
   return optimize(Root, O);
 }

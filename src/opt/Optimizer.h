@@ -8,11 +8,11 @@
 /// optimized frequency implementation, FFT tier, pop-rate limit).
 ///
 /// These are thin wrappers over the compiler pipeline
-/// (compiler/Pipeline.h): OptMode and the options struct live there —
-/// `OptimizerOptions` is an alias of `PipelineOptions`, which also
-/// carries the engine/exec knobs and cache/diagnostic controls — and
-/// `optimize()` returns the pipeline's rewritten stream, discarding the
-/// compiled artifact (use CompilerPipeline::compile directly to keep it).
+/// (compiler/Pipeline.h): OptMode and PipelineOptions live there —
+/// PipelineOptions also carries the engine/exec knobs and cache/diagnostic
+/// controls — and `optimize()` returns the pipeline's rewritten stream,
+/// discarding the compiled artifact (use CompilerPipeline::compile
+/// directly to keep it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,11 +27,8 @@
 
 namespace slin {
 
-/// The single options struct of the whole compilation stack.
-using OptimizerOptions = PipelineOptions;
-
 /// Applies the selected optimization configuration to \p Root.
-StreamPtr optimize(const Stream &Root, const OptimizerOptions &Opts);
+StreamPtr optimize(const Stream &Root, const PipelineOptions &Opts);
 
 /// Convenience: the paper's four headline configurations.
 StreamPtr optimizeBase(const Stream &Root);

@@ -41,7 +41,7 @@ RateSignature computeRates(const Stream &S);
 /// A Filter has no children; returns {}.
 std::vector<int64_t> childRepetitions(const Stream &Container);
 
-/// Non-fatal variants (the verifier pass in opt/Cleanup.h and every
+/// Non-fatal variants (the verifier in verify/Schedule.h and every
 /// recoverable pipeline route): on a graph without a valid steady state
 /// they return a Status (ErrorCode::RateError) naming the offending
 /// construct instead of aborting. Identical results to the fatal

@@ -216,9 +216,6 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
       S.FirstForkPc = static_cast<int>(Pc);
     S.Forked = true;
   };
-  auto NotePeek = [&](int Pos) {
-    S.MaxPeekPos = std::max(S.MaxPeekPos, Pos);
-  };
 
   Path Init;
   Init.Regs.assign(static_cast<size_t>(P.numRegs()),
@@ -283,7 +280,6 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
                         std::to_string(E) + ")");
           return AffineValue::top();
         }
-        NotePeek(static_cast<int>(Pos));
         return AffineValue::input(static_cast<size_t>(Pos), E);
       };
       switch (I.K) {

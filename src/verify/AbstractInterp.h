@@ -11,11 +11,10 @@
 /// the path and both continuations run to Halt, with the observable
 /// results joined by exact equality (Extract's confluence).
 ///
-/// The executor produces everything the three lint analyses consume:
-/// the affine form of each pushed value (verify-linear), every statically
-/// provable index/rate violation plus the highest peek offset touched
-/// (verify-bounds), and the post-firing affine form of every mutable
-/// field element (verify-state).
+/// The executor produces everything the three tape lint analyses
+/// consume: the affine form of each pushed value (verify-linear), every
+/// statically provable index/rate violation (verify-bounds), and the
+/// post-firing affine form of every mutable field element (verify-state).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,10 +67,6 @@ struct TapeSummary {
   /// recorded when paths disagree or the count differs from the rates).
   int Pops = 0;
   int PushCount = 0;
-
-  /// Highest input-window position read (peek offset + pops before it);
-  /// -1 when the tape never reads input.
-  int MaxPeekPos = -1;
 
   bool HasPrint = false;
   size_t PathsExplored = 0;

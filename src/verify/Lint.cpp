@@ -4,6 +4,7 @@
 
 #include "graph/Stream.h"
 #include "linear/Extract.h"
+#include "verify/Schedule.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -98,6 +99,60 @@ std::string LintReport::json() const {
 }
 
 //===----------------------------------------------------------------------===//
+// Pass plumbing
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The pass-summary convention of verify/Schedule.h: "" when no new error
+/// findings were added, else a one-line roll-up. \p FindingsBefore is the
+/// findings() size when the pass started.
+std::string passResult(const LintReport &R, size_t FindingsBefore,
+                       const char *Pass) {
+  size_t New = 0;
+  std::string First;
+  for (size_t I = FindingsBefore; I < R.findings().size(); ++I) {
+    const Finding &F = R.findings()[I];
+    if (F.Sev != Finding::Severity::Error)
+      continue;
+    if (New++ == 0)
+      First = F.Where + ": " + F.Message;
+  }
+  if (New == 0)
+    return "";
+  return std::string(Pass) + ": " + std::to_string(New) + " finding(s); " +
+         First;
+}
+
+/// Calls \p Body(I, Node, Artifact) for every flat filter node that runs
+/// an op tape (native filters have none to lint).
+template <class Fn> void forEachTape(const CompiledProgram &P, Fn &&Body) {
+  const flat::FlatGraph &G = P.graph();
+  for (size_t I = 0; I != G.Nodes.size(); ++I) {
+    const flat::Node &N = G.Nodes[I];
+    if (N.Kind != flat::NodeKind::Filter || !N.F || N.F->isNative())
+      continue;
+    const CompiledProgram::FilterArtifact &Art = P.filterArtifact(I);
+    if (!Art.Work.empty())
+      Body(I, N, Art);
+  }
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// verify-schedule: the schedule oracle
+//===----------------------------------------------------------------------===//
+
+std::string verify::verifySchedule(const CompiledProgram &P, LintReport &R) {
+  size_t Before = R.findings().size();
+  if (std::string E = slin::verifySchedule(P.graph(), P.schedule());
+      !E.empty())
+    R.error("verify-schedule", "schedule", -1, std::move(E));
+  return passResult(R, Before, "verify-schedule");
+}
+
+//===----------------------------------------------------------------------===//
 // verify-linear: the linearity oracle
 //===----------------------------------------------------------------------===//
 
@@ -132,26 +187,6 @@ std::string notAffineWitness(const wir::OpProgram &Tape,
              " depends on mutable state: " + V.str(&Tape.fieldNames());
   }
   return "";
-}
-
-/// The pass-summary convention of opt/Cleanup.h: "" when no new error
-/// findings were added, else a one-line roll-up. \p FindingsBefore is the
-/// findings() size when the pass started.
-std::string passResult(const LintReport &R, size_t FindingsBefore,
-                       const char *Pass) {
-  size_t New = 0;
-  std::string First;
-  for (size_t I = FindingsBefore; I < R.findings().size(); ++I) {
-    const Finding &F = R.findings()[I];
-    if (F.Sev != Finding::Severity::Error)
-      continue;
-    if (New++ == 0)
-      First = F.Where + ": " + F.Message;
-  }
-  if (New == 0)
-    return "";
-  return std::string(Pass) + ": " + std::to_string(New) + " finding(s); " +
-         First;
 }
 
 } // namespace
@@ -224,16 +259,10 @@ void verify::lintTapeLinear(const wir::OpProgram &Tape, const Filter &F,
 
 std::string verify::verifyLinear(const CompiledProgram &P, LintReport &R) {
   size_t Before = R.findings().size();
-  const flat::FlatGraph &G = P.graph();
-  for (size_t I = 0; I != G.Nodes.size(); ++I) {
-    const flat::Node &N = G.Nodes[I];
-    if (N.Kind != flat::NodeKind::Filter || !N.F || N.F->isNative())
-      continue;
-    const CompiledProgram::FilterArtifact &Art = P.filterArtifact(I);
-    if (Art.Work.empty())
-      continue;
+  forEachTape(P, [&](size_t, const flat::Node &N,
+                     const CompiledProgram::FilterArtifact &Art) {
     lintTapeLinear(Art.Work, *N.F, N.Name, R);
-  }
+  });
   return passResult(R, Before, "verify-linear");
 }
 
@@ -241,191 +270,49 @@ std::string verify::verifyLinear(const CompiledProgram &P, LintReport &R) {
 // verify-bounds: the bounds & rate proof
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Per-tape bounds pass; returns the summary so the schedule replay can
-/// reuse the derived rates and peek extent.
-TapeSummary boundsOneTape(const wir::OpProgram &Tape,
-                          const std::vector<wir::FieldDef> &Fields,
-                          const std::string &Where, LintReport &R) {
+void verify::lintTapeBounds(const wir::OpProgram &Tape,
+                            const std::vector<wir::FieldDef> &Fields,
+                            const std::string &Where, LintReport &R) {
   const char *Pass = "verify-bounds";
   TapeSummary Sum = abstractExecute(Tape, Fields);
   for (const TapeFault &F : Sum.Faults)
     R.error(Pass, Where, F.Pc, F.Msg);
   if (Sum.Faults.empty() && !Sum.Exploded && !Sum.Completed)
     R.error(Pass, Where, -1, "no execution path reaches Halt");
-  return Sum;
 }
 
-} // namespace
-
-void verify::lintTapeBounds(const wir::OpProgram &Tape,
-                            const std::vector<wir::FieldDef> &Fields,
-                            const std::string &Where, LintReport &R) {
-  boundsOneTape(Tape, Fields, Where, R);
+void verify::lintFilterTapes(const CompiledProgram::FilterArtifact &Art,
+                             const Filter &F, const std::string &Where,
+                             LintReport &R) {
+  const char *Pass = "verify-bounds";
+  lintTapeBounds(Art.Work, F.fields(), Where, R);
+  if (Art.Work.peekRate() != F.peekRate() ||
+      Art.Work.popRate() != F.popRate() ||
+      Art.Work.pushRate() != F.pushRate())
+    R.error(Pass, Where, -1,
+            "tape rates (peek " + std::to_string(Art.Work.peekRate()) +
+                ", pop " + std::to_string(Art.Work.popRate()) + ", push " +
+                std::to_string(Art.Work.pushRate()) +
+                ") disagree with the filter's declared rates (peek " +
+                std::to_string(F.peekRate()) + ", pop " +
+                std::to_string(F.popRate()) + ", push " +
+                std::to_string(F.pushRate()) + ")");
+  if (Art.InitWork.empty())
+    return;
+  lintTapeBounds(Art.InitWork, F.fields(), Where + " [init]", R);
+  if (Art.InitWork.peekRate() != F.initPeekRate() ||
+      Art.InitWork.popRate() != F.initPopRate() ||
+      Art.InitWork.pushRate() != F.initPushRate())
+    R.error(Pass, Where + " [init]", -1,
+            "init tape rates disagree with the filter's declared init rates");
 }
 
 std::string verify::verifyBounds(const CompiledProgram &P, LintReport &R) {
-  const char *Pass = "verify-bounds";
   size_t Before = R.findings().size();
-  const flat::FlatGraph &G = P.graph();
-  const StaticSchedule &S = P.schedule();
-
-  // Tape-derived firing I/O per node; declared rates elsewhere.
-  struct NodeIO {
-    bool Derived = false; ///< filter with a tape (vs. declared rates)
-    bool HasInit = false;
-    int64_t Pops = 0, Pushes = 0, Need = 0;
-    int64_t InitPops = 0, InitPushes = 0, InitNeed = 0;
-  };
-  std::vector<NodeIO> IO(G.Nodes.size());
-
-  for (size_t I = 0; I != G.Nodes.size(); ++I) {
-    const flat::Node &N = G.Nodes[I];
-    if (N.Kind != flat::NodeKind::Filter || !N.F || N.F->isNative())
-      continue;
-    const Filter &F = *N.F;
-    const CompiledProgram::FilterArtifact &Art = P.filterArtifact(I);
-    if (Art.Work.empty())
-      continue;
-    TapeSummary Sum = boundsOneTape(Art.Work, F.fields(), N.Name, R);
-    if (Art.Work.peekRate() != F.peekRate() ||
-        Art.Work.popRate() != F.popRate() ||
-        Art.Work.pushRate() != F.pushRate())
-      R.error(Pass, N.Name, -1,
-              "tape rates (peek " + std::to_string(Art.Work.peekRate()) +
-                  ", pop " + std::to_string(Art.Work.popRate()) + ", push " +
-                  std::to_string(Art.Work.pushRate()) +
-                  ") disagree with the filter's declared rates (peek " +
-                  std::to_string(F.peekRate()) + ", pop " +
-                  std::to_string(F.popRate()) + ", push " +
-                  std::to_string(F.pushRate()) + ")");
-    NodeIO &D = IO[I];
-    D.Derived = true;
-    D.Pops = Art.Work.popRate();
-    D.Pushes = Art.Work.pushRate();
-    D.Need = std::max<int64_t>(Sum.MaxPeekPos + 1, D.Pops);
-    if (!Art.InitWork.empty()) {
-      TapeSummary ISum =
-          boundsOneTape(Art.InitWork, F.fields(), N.Name + " [init]", R);
-      D.HasInit = true;
-      D.InitPops = Art.InitWork.popRate();
-      D.InitPushes = Art.InitWork.pushRate();
-      D.InitNeed = std::max<int64_t>(ISum.MaxPeekPos + 1, D.InitPops);
-      if (Art.InitWork.popRate() != F.initPopRate() ||
-          Art.InitWork.pushRate() != F.initPushRate())
-        R.error(Pass, N.Name + " [init]", -1,
-                "init tape rates disagree with the filter's declared init "
-                "rates");
-    }
-  }
-
-  // Replay the firing programs with the *derived* filter I/O: every
-  // channel read stays covered by live items, and live counts stay
-  // within the schedule's high-water marks and buffer capacities — the
-  // flat-buffer positions CxxEmit's emitted code indexes with.
-  size_t NumChans = G.numChannels();
-  auto External = [&](int C) {
-    return C == G.ExternalIn || C == G.ExternalOut;
-  };
-  std::vector<int64_t> FiredEver(G.Nodes.size(), 0);
-  auto Replay = [&](const FiringProgram &Prog, std::vector<int64_t> &Live,
-                    const char *Which) {
-    std::vector<int64_t> StartLive = Live;
-    std::vector<int64_t> Appended(NumChans, 0);
-    size_t ErrsAtStart = R.errorCount();
-    for (const FiringStep &Step : Prog) {
-      if (Step.Node < 0 ||
-          static_cast<size_t>(Step.Node) >= G.Nodes.size()) {
-        R.error(Pass, "schedule", -1,
-                std::string(Which) + " program fires unknown node " +
-                    std::to_string(Step.Node));
-        return;
-      }
-      const flat::Node &N = G.Nodes[static_cast<size_t>(Step.Node)];
-      const NodeIO &D = IO[static_cast<size_t>(Step.Node)];
-      for (int64_t K = 0; K != Step.Count; ++K) {
-        // Stop piling up findings once the replay has gone off the rails.
-        if (R.errorCount() > ErrsAtStart + 8)
-          return;
-        bool InitF = FiredEver[static_cast<size_t>(Step.Node)] == 0 &&
-                     N.Kind == flat::NodeKind::Filter && N.F &&
-                     N.F->hasInitWork();
-        for (int C : N.inputChannels()) {
-          int64_t Need, Pops;
-          if (D.Derived && C == N.In) {
-            Need = InitF && D.HasInit ? D.InitNeed : D.Need;
-            Pops = InitF && D.HasInit ? D.InitPops : D.Pops;
-          } else {
-            Need = N.peekNeedOn(C, InitF);
-            Pops = N.popsFrom(C, InitF);
-          }
-          if (!External(C)) {
-            size_t Ch = static_cast<size_t>(C);
-            if (Need > Live[Ch])
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: '" + N.Name +
-                          "' reads " + std::to_string(Need) +
-                          " items on channel " + std::to_string(C) +
-                          " with only " + std::to_string(Live[Ch]) +
-                          " live");
-            Live[Ch] -= Pops;
-            if (Live[Ch] < 0) {
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: channel " +
-                          std::to_string(C) + " underflows at '" + N.Name +
-                          "'");
-              Live[Ch] = 0;
-            }
-          }
-        }
-        for (int C : N.outputChannels()) {
-          int64_t Pushes;
-          if (D.Derived && C == N.Out)
-            Pushes = InitF && D.HasInit ? D.InitPushes : D.Pushes;
-          else
-            Pushes = N.pushesTo(C, InitF);
-          if (!External(C)) {
-            size_t Ch = static_cast<size_t>(C);
-            Live[Ch] += Pushes;
-            Appended[Ch] += Pushes;
-            if (Ch < S.ChannelHighWater.size() &&
-                Live[Ch] > S.ChannelHighWater[Ch])
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: channel " +
-                          std::to_string(C) + " holds " +
-                          std::to_string(Live[Ch]) +
-                          " items, above its high-water mark " +
-                          std::to_string(S.ChannelHighWater[Ch]));
-          }
-        }
-        ++FiredEver[static_cast<size_t>(Step.Node)];
-      }
-    }
-    for (size_t C = 0; C != NumChans; ++C)
-      if (!External(static_cast<int>(C)) && C < S.ChannelBufSize.size() &&
-          StartLive[C] + Appended[C] > S.ChannelBufSize[C])
-        R.error(Pass, "schedule", -1,
-                std::string(Which) + " program: flat-buffer positions on "
-                                     "channel " +
-                    std::to_string(C) + " reach " +
-                    std::to_string(StartLive[C] + Appended[C]) +
-                    ", capacity is " + std::to_string(S.ChannelBufSize[C]));
-  };
-
-  if (S.Repetitions.size() == G.Nodes.size() &&
-      S.ChannelHighWater.size() == NumChans &&
-      S.ChannelBufSize.size() == NumChans) {
-    std::vector<int64_t> Live(NumChans, 0);
-    for (size_t C = 0; C != NumChans; ++C)
-      Live[C] = static_cast<int64_t>(G.InitialItems[C].size());
-    Replay(S.InitProgram, Live, "init");
-    Replay(S.BatchProgram, Live, "batch");
-    Replay(S.SteadyProgram, Live, "steady");
-  } else {
-    R.error(Pass, "schedule", -1,
-            "schedule vectors are not sized to the graph");
-  }
+  forEachTape(P, [&](size_t, const flat::Node &N,
+                     const CompiledProgram::FilterArtifact &Art) {
+    lintFilterTapes(Art, *N.F, N.Name, R);
+  });
   return passResult(R, Before, "verify-bounds");
 }
 
@@ -564,18 +451,13 @@ std::string verify::verifyState(const CompiledProgram &P, LintReport &R) {
   size_t Before = R.findings().size();
   const flat::FlatGraph &G = P.graph();
   std::map<size_t, wir::SteadyStateInfo> ClaimsByNode;
-  for (size_t I = 0; I != G.Nodes.size(); ++I) {
-    const flat::Node &N = G.Nodes[I];
-    if (N.Kind != flat::NodeKind::Filter || !N.F || N.F->isNative())
-      continue;
-    const CompiledProgram::FilterArtifact &Art = P.filterArtifact(I);
-    if (Art.Work.empty())
-      continue;
+  forEachTape(P, [&](size_t I, const flat::Node &N,
+                     const CompiledProgram::FilterArtifact &Art) {
     wir::SteadyStateInfo Claims = Art.Work.analyzeSteadyState(N.F->fields());
     if (Claims.Reconstructable)
       lintStateClaims(Art.Work, N.F->fields(), Claims, N.Name, R);
     ClaimsByNode.emplace(I, std::move(Claims));
-  }
+  });
 
   // The shard seeds are derived from these claims; cross-check that what
   // the parallel backend will seed matches what the tapes re-derive.
@@ -631,6 +513,7 @@ std::string verify::verifyState(const CompiledProgram &P, LintReport &R) {
 
 LintReport verify::lintProgram(const CompiledProgram &P) {
   LintReport R;
+  verifySchedule(P, R);
   verifyLinear(P, R);
   verifyBounds(P, R);
   verifyState(P, R);

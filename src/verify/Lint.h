@@ -1,28 +1,33 @@
 //===- verify/Lint.h - WIR abstract-interpretation linter -------*- C++ -*-===//
 ///
 /// \file
-/// The three lint analyses built on the abstract tape executor
-/// (verify/AbstractInterp.h), each an independent re-derivation of a
-/// fact the optimizer stack otherwise takes on trust:
+/// The four post-lowering lint passes, each an independent re-derivation
+/// of a fact the optimizer stack otherwise takes on trust. The first is
+/// the schedule oracle (verify/Schedule.h); the other three are built on
+/// the abstract tape executor (verify/AbstractInterp.h):
 ///
+///  * verify-schedule — replays the init/batch/steady firing programs at
+///    the filters' declared rates and checks every StaticSchedule field
+///    exactly: window coverage, firing totals, post-init occupancy,
+///    high-water marks, buffer capacities (the flat-buffer positions the
+///    compiled, native and sharded engines index with) and external I/O;
 ///  * verify-linear — the linearity oracle: re-derives the affine form
 ///    [A, b] of every work function from its op tape and cross-checks
 ///    it against linear/Extract coefficient by coefficient (exact ==),
 ///    with a "not-linear" witness (tape offset + reason) whenever the
 ///    tape disagrees;
 ///  * verify-bounds — the bounds & rate proof: every peek/pop/push and
-///    field/array index in every tape stays inside declared rates and
-///    windows, and a replay of the schedule's firing programs with the
-///    *tape-derived* rates keeps every flat-buffer position inside the
-///    StaticSchedule's high-water marks and buffer capacities (the
-///    positions the CxxEmit lowering indexes with);
+///    field/array index in every tape stays inside the tape's declared
+///    rates and window, and every tape's rates (init tapes included)
+///    equal its filter's declared rates. Together with verify-schedule
+///    this bounds every flat-buffer access the tapes make;
 ///  * verify-state — the state-classification audit: re-runs
 ///    analyzeSteadyState and abstractly executes one steady firing to
 ///    confirm every affine / modular / input-determined claim the
 ///    parallel backend's shard seeding trusts.
 ///
-/// All three run as pipeline passes under SLIN_VERIFY (compiler/
-/// Pipeline.cpp) and power the standalone tools/slin-lint CLI.
+/// All four run, in this order, as pipeline passes under SLIN_VERIFY
+/// (compiler/Pipeline.cpp) and power the standalone tools/slin-lint CLI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +52,7 @@ struct Finding {
     Note,  ///< informational (e.g. tape affine where Extract declined)
   };
   Severity Sev = Severity::Error;
-  std::string Pass;  ///< verify-linear / verify-bounds / verify-state
+  std::string Pass;  ///< verify-schedule / -linear / -bounds / -state
   std::string Where; ///< filter (flat-node) name, or "schedule"
   int Pc = -1;       ///< tape offset; -1 when not tape-anchored
   std::string Message;
@@ -70,7 +75,7 @@ public:
   size_t noteCount() const;
 
   /// First Error-severity message (empty when clean) — the pipeline
-  /// Status message shape of opt/Cleanup.h's verifiers.
+  /// Status message shape of verify/Schedule.h's verifiers.
   std::string firstError() const;
 
   /// Human-readable findings report.
@@ -89,11 +94,12 @@ private:
 // finding was produced, else a one-line summary suitable for a
 // Status(ErrorCode::VerifyFailed) message.
 
+std::string verifySchedule(const CompiledProgram &P, LintReport &R);
 std::string verifyLinear(const CompiledProgram &P, LintReport &R);
 std::string verifyBounds(const CompiledProgram &P, LintReport &R);
 std::string verifyState(const CompiledProgram &P, LintReport &R);
 
-/// All three passes over one compiled program (the slin-lint CLI body).
+/// All four passes over one compiled program (the slin-lint CLI body).
 LintReport lintProgram(const CompiledProgram &P);
 
 //===----------------------------------------------------------------------===//
@@ -109,6 +115,12 @@ void lintTapeLinear(const wir::OpProgram &Tape, const Filter &F,
 void lintTapeBounds(const wir::OpProgram &Tape,
                     const std::vector<wir::FieldDef> &Fields,
                     const std::string &Where, LintReport &R);
+
+/// verify-bounds over one filter: lintTapeBounds on its work and init
+/// tapes, plus equality of each tape's peek/pop/push rates with the
+/// rates \p F declares (the rates verify-schedule replays with).
+void lintFilterTapes(const CompiledProgram::FilterArtifact &Art,
+                     const Filter &F, const std::string &Where, LintReport &R);
 
 /// Audits externally supplied steady-state \p Claims against the tape's
 /// abstract execution — the claims are a parameter (rather than

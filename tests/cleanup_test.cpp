@@ -17,6 +17,7 @@
 #include "exec/Measure.h"
 #include "opt/Cleanup.h"
 #include "sched/Schedule.h"
+#include "verify/Schedule.h"
 #include "wir/Build.h"
 
 #include "TestGraphs.h"

@@ -12,7 +12,8 @@
 // interpreter's numbers).
 //
 // Every native compile here shells out to the real toolchain; tests that
-// need one GTEST_SKIP when discoverCompiler() finds none.
+// need one GTEST_SKIP when discoverCompiler() finds none or SLIN_NO_NATIVE
+// is set.
 //
 //===----------------------------------------------------------------------===//
 
@@ -197,6 +198,14 @@ bool haveToolchain() {
   return Rc != -1 && WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0;
 }
 
+/// Why this process cannot build a native module ("" when it can):
+/// SLIN_NO_NATIVE forbids codegen outright, whatever the toolchain.
+std::string nativeUnavailable() {
+  if (codegen::nativeDisabled())
+    return "native codegen disabled (SLIN_NO_NATIVE)";
+  return haveToolchain() ? "" : "no C++ toolchain available";
+}
+
 //===----------------------------------------------------------------------===//
 // Literal emission
 //===----------------------------------------------------------------------===//
@@ -249,8 +258,8 @@ TEST(NativeCodegen, SlinCxxOverridesDiscoveryVerbatim) {
 //===----------------------------------------------------------------------===//
 
 TEST(NativeCodegen, EmittedTapesBitIdenticalToInterpreter) {
-  if (!haveToolchain())
-    GTEST_SKIP() << "no C++ toolchain available";
+  if (std::string Why = nativeUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
   NativeGuard NG;
   StreamPtr Root = tapeZooPipeline();
   CompiledProgramRef P = makeProgram(*Root);
@@ -268,8 +277,8 @@ TEST(NativeCodegen, EmittedTapesBitIdenticalToInterpreter) {
 }
 
 TEST(NativeCodegen, EmittedLinearKernelBitIdenticalToHostKernel) {
-  if (!haveToolchain())
-    GTEST_SKIP() << "no C++ toolchain available";
+  if (std::string Why = nativeUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
   NativeGuard NG;
   // Linear replacement collapses the FIR into a PackedLinearFilter whose
   // batch kernel the backend re-emits as C++ (Kernels.cpp
@@ -320,8 +329,8 @@ TEST(NativeCodegen, CountingRunsFallBackToTapesSoFlopsMatchCompiled) {
 //===----------------------------------------------------------------------===//
 
 TEST(NativeCodegen, WarmRestartServesObjectWithZeroPassesAndZeroCodegen) {
-  if (!haveToolchain())
-    GTEST_SKIP() << "no C++ toolchain available";
+  if (std::string Why = nativeUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
   StoreGuard SG;
   NativeGuard NG;
   StreamPtr Root = firSourcePipeline({2.0, -0.5, 1.25, 0.75, -3.5});
@@ -377,8 +386,8 @@ TEST(NativeCodegen, WarmRestartServesObjectWithZeroPassesAndZeroCodegen) {
 //===----------------------------------------------------------------------===//
 
 TEST(NativeCodegen, NoCacheEnvBypassesNativeObjectDiskTier) {
-  if (!haveToolchain())
-    GTEST_SKIP() << "no C++ toolchain available";
+  if (std::string Why = nativeUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
   StoreGuard SG;
   NativeGuard NG;
   codegen::NativeModuleCache &C = codegen::NativeModuleCache::global();
@@ -439,8 +448,8 @@ TEST(NativeCodegen, ObjectKeyCoversCompilerAndHostIsa) {
 }
 
 TEST(NativeCodegen, ObjectFromAForeignHostIsAMissNeverDlopened) {
-  if (!haveToolchain())
-    GTEST_SKIP() << "no C++ toolchain available";
+  if (std::string Why = nativeUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
   StoreGuard SG;
   NativeGuard NG;
   codegen::NativeModuleCache &C = codegen::NativeModuleCache::global();
@@ -487,6 +496,10 @@ TEST(NativeCodegen, ObjectFromAForeignHostIsAMissNeverDlopened) {
 //===----------------------------------------------------------------------===//
 
 TEST(NativeCodegen, MissingToolchainDegradesCleanlyAndNegativelyCaches) {
+  // SLIN_NO_NATIVE refuses before the toolchain is ever probed (see
+  // SlinNoNativeDisablesCodegenOutright).
+  if (codegen::nativeDisabled())
+    GTEST_SKIP() << "native codegen disabled (SLIN_NO_NATIVE)";
   NativeGuard NG;
   EnvGuard CXX("SLIN_CXX", "/nonexistent/slin-test-cxx");
   codegen::NativeModuleCache &C = codegen::NativeModuleCache::global();
@@ -543,7 +556,12 @@ TEST(NativeCodegen, PipelineRecordsNativeCodegenPass) {
     if (P.Name == "native-codegen")
       NP = &P;
   ASSERT_NE(NP, nullptr) << "pipeline did not record the native-codegen pass";
-  if (haveToolchain()) {
+  if (codegen::nativeDisabled()) {
+    // Disabled by the environment: the pass degrades and says why.
+    EXPECT_TRUE(R.Degraded);
+    EXPECT_NE(R.DegradeReason.find("SLIN_NO_NATIVE"), std::string::npos)
+        << R.DegradeReason;
+  } else if (haveToolchain()) {
     EXPECT_FALSE(R.Degraded) << R.DegradeReason;
     EXPECT_TRUE(NP->Note == "emitted+compiled" ||
                 NP->Note == "native cache hit (memory)")

@@ -315,7 +315,7 @@ TEST(CompiledExec, ExternalInputAndOutput) {
 TEST(CompiledExec, TailIterationsWhenInputShort) {
   // 20 inputs with batch size 16: one batch plus tail steady iterations.
   auto F = makeGain(3);
-  CompiledExecutor::Options O;
+  CompiledOptions O;
   O.BatchIterations = 16;
   CompiledExecutor E(*F, O);
   std::vector<double> In;
@@ -417,7 +417,7 @@ TEST(CompiledExec, BatchSizeDoesNotChangeOutputs) {
   P.add(makePrinterSink());
   std::vector<double> Ref;
   for (int B : {1, 2, 16, 64}) {
-    CompiledExecutor::Options O;
+    CompiledOptions O;
     O.BatchIterations = B;
     CompiledExecutor E(P, O);
     E.run(100);
@@ -435,7 +435,7 @@ TEST(CompiledExec, FiringsAccounted) {
   P.add(makeCountingSource());
   P.add(makeGain(2));
   P.add(makePrinterSink());
-  CompiledExecutor::Options O;
+  CompiledOptions O;
   O.BatchIterations = 8;
   CompiledExecutor E(P, O);
   E.run(8);

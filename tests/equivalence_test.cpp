@@ -60,7 +60,7 @@ TEST_P(BenchmarkEquivalence, OutputsMatchBaseline) {
       Base = B.Build();
   ASSERT_NE(Base, nullptr);
 
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = C.Mode;
   O.Combine = C.Combine;
   StreamPtr Opt = optimize(*Base, O);
@@ -220,7 +220,7 @@ TEST_P(BenchmarkEngineEquivalence, BitIdenticalOutputs) {
     if (B.Name == C.Benchmark)
       Base = B.Build();
   ASSERT_NE(Base, nullptr);
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = C.Mode;
   O.Combine = C.Combine;
   StreamPtr Opt = optimize(*Base, O);
@@ -272,7 +272,7 @@ TEST_P(BenchmarkNativeEquivalence, BitIdenticalToCompiledEngine) {
     if (B.Name == C.Benchmark)
       Base = B.Build();
   ASSERT_NE(Base, nullptr);
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = C.Mode;
   O.Combine = C.Combine;
   StreamPtr Opt = optimize(*Base, O);

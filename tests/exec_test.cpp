@@ -292,7 +292,7 @@ TEST(Exec, BatchLimitOneStillCorrect) {
   P.add(makeCountingSource());
   P.add(makeFIR({1, 2, 3}));
   P.add(makePrinterSink());
-  Executor::Options O;
+  DynamicOptions O;
   O.BatchLimit = 1;
   Executor E(P, O);
   E.run(4);
@@ -306,20 +306,20 @@ TEST(Exec, ChannelCapDerivation) {
   // max(MinChannelCap, 2 * need), clamped to ChannelCap.
   auto F = makeFIR({1, 2, 3, 4, 5, 6, 7, 8}); // peek 8
   {
-    Executor::Options O;
+    DynamicOptions O;
     O.MinChannelCap = 4;
     Executor E(*F, O);
     EXPECT_EQ(E.channelCap(0), 16u); // external input channel: 2 * 8
   }
   {
-    Executor::Options O;
+    DynamicOptions O;
     O.MinChannelCap = 4;
     O.ChannelCap = 10;
     Executor E(*F, O);
     EXPECT_EQ(E.channelCap(0), 10u); // clamped to the global cap
   }
   {
-    Executor::Options O;
+    DynamicOptions O;
     O.MinChannelCap = 64;
     Executor E(*F, O);
     EXPECT_EQ(E.channelCap(0), 64u); // floor at MinChannelCap
@@ -345,7 +345,7 @@ TEST(Exec, TinyChannelCapStillMakesProgress) {
   P.add(makeCountingSource());
   P.add(makeGain(2));
   P.add(makePrinterSink());
-  Executor::Options O;
+  DynamicOptions O;
   O.MinChannelCap = 1;
   O.ChannelCap = 2;
   O.BatchLimit = 3;

@@ -794,6 +794,8 @@ std::vector<double> runWithModule(const CompiledProgramRef &P,
 TEST(NativeCodegenFaults, CompileFailureDegradesBitIdentical) {
   FaultGuard G;
   NativeGuard NG;
+  if (codegen::nativeDisabled())
+    GTEST_SKIP() << "native codegen disabled (SLIN_NO_NATIVE)";
   if (codegen::discoverCompiler().empty())
     GTEST_SKIP() << "no C++ toolchain available";
   StreamPtr Root = firSourcePipeline({2.5, -1.25, 0.5, 3.0});
@@ -815,6 +817,8 @@ TEST(NativeCodegenFaults, CompileFailureDegradesBitIdentical) {
 TEST(NativeCodegenFaults, DlopenFailureDegradesBitIdentical) {
   FaultGuard G;
   NativeGuard NG;
+  if (codegen::nativeDisabled())
+    GTEST_SKIP() << "native codegen disabled (SLIN_NO_NATIVE)";
   if (!toolchainWorks())
     GTEST_SKIP() << "no working C++ toolchain available";
   StreamPtr Root = firSourcePipeline({1.5, 4.0, -2.0, 0.25});
@@ -838,6 +842,8 @@ TEST(NativeCodegenFaults, DlopenFailureDegradesBitIdentical) {
 TEST(NativeCodegenFaults, DiskTierDlopenFailureEvictsAndRebuilds) {
   FaultGuard G;
   NativeGuard NG;
+  if (codegen::nativeDisabled())
+    GTEST_SKIP() << "native codegen disabled (SLIN_NO_NATIVE)";
   if (!toolchainWorks())
     GTEST_SKIP() << "no working C++ toolchain available";
   StoreGuard SG;

@@ -50,7 +50,7 @@ class LinearStyles
 
 TEST_P(LinearStyles, ReplacementPreservesOutputs) {
   auto P = twoFIRProgram({1, 2, 3, 4, 5}, {0.5, -1, 2});
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Linear;
   O.CodeGen = GetParam();
   auto Opt = optimize(*P, O);
@@ -123,7 +123,7 @@ class FreqVariants
 TEST_P(FreqVariants, PreservesOutputs) {
   auto [Optimized, Tier] = GetParam();
   auto P = twoFIRProgram({1, 2, 3, 4, 5, 6, 7}, {1, -1});
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Freq;
   O.Freq.Optimized = Optimized;
   O.Freq.Tier = Tier;
@@ -151,7 +151,7 @@ TEST(FreqReplacement, DecimatorHandlesPopRateAboveOne) {
 
 TEST(FreqReplacement, FFTSizeOverride) {
   auto P = twoFIRProgram({1, 2, 3, 4}, {1, 1});
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Freq;
   O.Freq.FFTSizeOverride = 64;
   auto Opt = optimize(*P, O);
@@ -163,7 +163,7 @@ TEST(FreqReplacement, PopLimitSkipsHighPopNodes) {
   P->add(makeCountingSource());
   P->add(makeCompressor(8)); // linear node with o = 8
   P->add(makePrinterSink());
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Freq;
   O.Freq.PopLimit = 1;
   auto Opt = optimize(*P, O);
@@ -209,7 +209,7 @@ TEST(FreqReplacement, OptimizedBeatsNaive) {
   P->add(makeFIR(std::vector<double>(32, 0.5), "FIR32"));
   P->add(makePrinterSink());
 
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Freq;
   O.Freq.Optimized = false;
   auto Naive = optimize(*P, O);
@@ -260,7 +260,7 @@ TEST(Redundancy, FilterPreservesOutputs) {
     P->add(makeCountingSource());
     P->add(makeFIR(H, "FIR"));
     P->add(makePrinterSink());
-    OptimizerOptions O;
+    PipelineOptions O;
     O.Mode = OptMode::Redundancy;
     auto Opt = optimize(*P, O);
     expectSameOutputs(*P, *Opt, 64, 1e-9,
@@ -298,7 +298,7 @@ TEST(Redundancy, ReducesCountedMultiplications) {
   P->add(makeCountingSource());
   P->add(makeFIR(H, "FIR"));
   P->add(makePrinterSink());
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = OptMode::Redundancy;
   auto Opt = optimize(*P, O);
   MeasureOptions MO;

@@ -412,7 +412,7 @@ CompiledProgramRef benchProgram(const BenchCase &C) {
     if (B.Name == C.Benchmark)
       Base = B.Build();
   EXPECT_NE(Base, nullptr);
-  OptimizerOptions O;
+  PipelineOptions O;
   O.Mode = C.Mode;
   return makeProgram(*optimize(*Base, O));
 }
@@ -612,7 +612,7 @@ TEST(ConcurrencyStress, ExecutorsAndAnalysesInParallel) {
           ++Failures;
         // Concurrent compiles through the global caches.
         StreamPtr G = buildFMRadio(8 + T % 3, 3);
-        OptimizerOptions OO;
+        PipelineOptions OO;
         OO.Mode = OptMode::AutoSel;
         StreamPtr Opt = optimize(*G, OO);
         if (!Opt)

@@ -1,9 +1,10 @@
 //===- tests/verify_test.cpp - Abstract-interpretation linter tests -------==//
 //
-// The WIR linter (src/verify/): the affine abstract executor, the three
-// analyses (verify-linear / verify-bounds / verify-state), the mutation
-// corpus — programmatically corrupted tapes and mislabeled state claims
-// that the linter must flag with precise findings — the clean benchmark
+// The WIR linter (src/verify/): the affine abstract executor, the lint
+// passes (verify-schedule / verify-linear / verify-bounds / verify-state),
+// the mutation corpus — programmatically corrupted tapes, tape rates and
+// mislabeled state claims that the linter must flag with precise
+// findings — the clean benchmark
 // suite (zero findings), the pipeline degradation path behind the
 // lint-verifier-trip fault point, and the artifact-store inventory hook
 // the lint-what-you-serve CI mode uses.
@@ -19,6 +20,7 @@
 #include "support/FaultInjection.h"
 #include "verify/AbstractInterp.h"
 #include "verify/Lint.h"
+#include "wir/Build.h"
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,7 @@ using namespace slin::verify;
 namespace slin::wir {
 struct OpProgramTestAccess {
   static std::vector<Inst> &code(OpProgram &P) { return P.Code; }
+  static int &peekRate(OpProgram &P) { return P.PeekRate; }
   static int &popRate(OpProgram &P) { return P.PopRate; }
 };
 } // namespace slin::wir
@@ -284,6 +287,56 @@ TEST(MutationCorpus, CorruptRegisterOperandIsStructurallyRejected) {
   LintReport R;
   lintTapeBounds(Bad, F.node().F->fields(), "FloatDiff", R);
   EXPECT_GE(R.errorCount(), 1u);
+}
+
+TEST(MutationCorpus, RaisedWorkPeekRateIsFlagged) {
+  // A tape whose window is wider than its filter declares reads items
+  // the schedule (replayed at declared rates) never promised; the tape
+  // stays self-consistent, so only the rate comparison can catch it.
+  DiffFixture F;
+  ASSERT_GE(F.Node, 0);
+  CompiledProgram::FilterArtifact Art =
+      F.P->filterArtifact(static_cast<size_t>(F.Node));
+  {
+    LintReport R; // the real tapes agree with the filter
+    lintFilterTapes(Art, *F.node().F, "FloatDiff", R);
+    EXPECT_EQ(R.errorCount(), 0u) << R.text();
+  }
+  Patch::peekRate(Art.Work) = F.node().F->peekRate() + 1;
+
+  LintReport R;
+  lintFilterTapes(Art, *F.node().F, "FloatDiff", R);
+  ASSERT_GE(R.errorCount(), 1u);
+  EXPECT_TRUE(hasErrorContaining(R, "disagree with the filter's declared"))
+      << R.text();
+}
+
+TEST(MutationCorpus, RaisedInitPeekRateIsFlagged) {
+  using namespace slin::wir;
+  using namespace slin::wir::build;
+  // The init firing peeks 5 deep but pops only 3.
+  Filter Init("initf", std::vector<FieldDef>{},
+              WorkFunction(2, 1, 1, stmts(push(add(peek(0), peek(1))),
+                                          popStmt())));
+  Init.setInitWork(WorkFunction(
+      5, 3, 2, stmts(push(add(pop(), peek(3))), push(add(pop(), pop())))));
+  CompiledProgram P(Init, CompiledOptions{});
+  int I = findFilter(P, "initf");
+  ASSERT_GE(I, 0);
+  CompiledProgram::FilterArtifact Art =
+      P.filterArtifact(static_cast<size_t>(I));
+  ASSERT_FALSE(Art.InitWork.empty());
+  {
+    LintReport R; // the real tapes agree with the filter
+    lintFilterTapes(Art, Init, "initf", R);
+    EXPECT_EQ(R.errorCount(), 0u) << R.text();
+  }
+  Patch::peekRate(Art.InitWork) = Init.initPeekRate() + 1;
+
+  LintReport R;
+  lintFilterTapes(Art, Init, "initf", R);
+  ASSERT_GE(R.errorCount(), 1u);
+  EXPECT_TRUE(hasErrorContaining(R, "init tape rates")) << R.text();
 }
 
 TEST(MutationCorpus, MislabeledStateClassIsFlagged) {

@@ -1,8 +1,8 @@
 //===- tools/slin_lint.cpp - Standalone WIR lint driver -------------------===//
 ///
 /// \file
-/// slin-lint: runs the three abstract-interpretation lint analyses
-/// (src/verify/Lint.h — verify-linear, verify-bounds, verify-state) over
+/// slin-lint: runs the four lint passes (src/verify/Lint.h —
+/// verify-schedule, verify-linear, verify-bounds, verify-state) over
 /// compiled programs and prints a findings report.
 ///
 ///   slin-lint --all-graphs            lint every benchmark program
