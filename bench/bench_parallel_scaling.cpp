@@ -99,7 +99,7 @@ int main() {
           ParallelExecutor E(Program, PO, Native);
           ops::CountingScope Off(false);
           auto Start = std::chrono::steady_clock::now();
-          E.runIterations(C.Iterations);
+          orDie(E.runIterations(C.Iterations));
           double Secs = secondsSince(Start);
           if (R == 0 || Secs < Best)
             Best = Secs;

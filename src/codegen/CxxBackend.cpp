@@ -341,9 +341,10 @@ BuildResult slin::codegen::buildNativeModule(const CompiledProgram &P,
   }
 
   if (Publish)
-    // Failure already unlinked the tmp object; the module stays usable
-    // and the next cold process recompiles.
-    Store->publishObject(K, Build, Obj);
+    // Dropped on purpose: a failed publish is already counted in the
+    // store's PublishFailures and has unlinked the tmp object, while the
+    // dlopened module stays usable; the next cold process recompiles.
+    (void)Store->publishObject(K, Build, Obj);
   else
     ::unlink(Obj.c_str());
   Cleanup(false);

@@ -560,9 +560,9 @@ StreamPtr readStream(Reader &R, int Depth) {
         return nullptr;
       F->setInitWork(std::move(Init));
     }
-    // Lowering resolves names fatally; undefined ones make a bad payload.
-    if (!R.ok() || !tryResolve(F->work(), F->fields()).empty() ||
-        (F->initWork() && !tryResolve(*F->initWork(), F->fields()).empty()))
+    // Lowering aborts on unresolved names; here they make a bad payload.
+    if (!R.ok() || !resolve(F->work(), F->fields()).isOk() ||
+        (F->initWork() && !resolve(*F->initWork(), F->fields()).isOk()))
       return nullptr;
     return F;
   }
@@ -1046,11 +1046,7 @@ Status ArtifactStore::publishWithRetry(const std::string &Path,
   return St;
 }
 
-bool ArtifactStore::store(const Key &K, const CompiledProgram &P) {
-  return tryStore(K, P).isOk();
-}
-
-Status ArtifactStore::tryStore(const Key &K, const CompiledProgram &P) {
+Status ArtifactStore::store(const Key &K, const CompiledProgram &P) {
   Writer Payload;
   if (!serializeProgram(Payload, P))
     return Status(ErrorCode::Unserializable,
@@ -1084,13 +1080,8 @@ Status ArtifactStore::tryStore(const Key &K, const CompiledProgram &P) {
   return Status::ok();
 }
 
-std::shared_ptr<const CompiledProgram> ArtifactStore::load(const Key &K) {
-  Expected<std::shared_ptr<const CompiledProgram>> R = tryLoad(K);
-  return R ? R.take() : nullptr;
-}
-
 Expected<std::shared_ptr<const CompiledProgram>>
-ArtifactStore::tryLoad(const Key &K) {
+ArtifactStore::load(const Key &K) {
   auto Miss = [&](bool FilePresent, const std::string &Why) {
     {
       std::lock_guard<std::mutex> Lock(Mutex);

@@ -25,9 +25,8 @@
 /// oldest-first eviction pass — construction sweeps stale `.tmp.*`
 /// litter left by dead writers, and SLIN_STORE_MAX_BYTES /
 /// SLIN_STORE_TTL_S bound the directory by size and age. Every
-/// maintenance action is counted in stats(). The tryStore/tryLoad
-/// front doors report failures as support/Error.h Statuses; the
-/// bool/pointer forms wrap them and degrade to the memory tier.
+/// maintenance action is counted in stats(). store/load report failures
+/// as support/Error.h Statuses; callers degrade to the memory tier.
 ///
 /// An artifact holds only what lowering cannot derive: the engine
 /// options and the optimized stream tree (work IR, fields, native
@@ -96,26 +95,20 @@ public:
   /// True when an artifact file for \p K exists (no validation).
   bool contains(const Key &K) const;
 
-  /// Serializes \p P and atomically publishes it under \p K. Returns
-  /// false when the program is not serializable (a native filter without
-  /// a serialTag) or on I/O failure — callers lose nothing but the tier.
-  bool store(const Key &K, const CompiledProgram &P);
+  /// Serializes \p P and atomically publishes it under \p K.
+  /// Unserializable programs (a native filter without a serialTag) fail
+  /// with ErrorCode::Unserializable. Transient I/O errors (EINTR, and
+  /// ENOSPC after an eviction pass) are retried with backoff a bounded
+  /// number of times before the Status is returned; the caller's
+  /// degradation is memory-only operation, never an abort.
+  Status store(const Key &K, const CompiledProgram &P);
 
-  /// Non-fatal front door behind store(): the same publish with the
-  /// failure explained. Transient I/O errors (EINTR, and ENOSPC after an
-  /// eviction pass) are retried with backoff a bounded number of times
-  /// before the Status is returned; the caller's degradation is
-  /// memory-only operation, never an abort.
-  Status tryStore(const Key &K, const CompiledProgram &P);
-
-  /// Loads and validates the artifact for \p K; null on any miss or
-  /// validation failure (corrupt, truncated, wrong version/flags/key).
-  std::shared_ptr<const CompiledProgram> load(const Key &K);
-
-  /// Non-fatal front door behind load(): the miss/rejection explained
-  /// (ErrorCode::IoError for an unreadable file, Corrupt for a present
-  /// file that failed validation). The degradation is a clean recompile.
-  Expected<std::shared_ptr<const CompiledProgram>> tryLoad(const Key &K);
+  /// Loads and validates the artifact for \p K. A miss or rejection
+  /// comes back explained: ErrorCode::IoError for an unreadable file,
+  /// Corrupt for a present file that failed validation (truncated,
+  /// wrong version/flags/key, bad checksum). The degradation is a clean
+  /// recompile.
+  Expected<std::shared_ptr<const CompiledProgram>> load(const Key &K);
 
   /// Final path of the native-code shared object for \p K built under
   /// \p Build, the digest of everything that shapes the machine code
@@ -130,7 +123,7 @@ public:
   /// Atomically publishes the already-compiled object \p TmpPath (a
   /// `.tmp.<pid>.*`-suffixed file inside dir()) as objectPathFor(...):
   /// fsync, rename into place, directory fsync, then TTL/quota
-  /// enforcement. On failure \p TmpPath is unlinked. Unlike tryStore
+  /// enforcement. On failure \p TmpPath is unlinked. Unlike store
   /// there is no checksummed header — the dlopen + ABI-version check on
   /// load is the validation — so corruption degrades to a recompile.
   Status publishObject(const Key &K, const HashDigest &Build,

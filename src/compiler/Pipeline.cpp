@@ -190,17 +190,19 @@ void ensureNative(CompileResult &R) {
 
 } // namespace
 
-CompileResult CompilerPipeline::compile(const Stream &Root) const {
-  // The historical front door: environmental failures are impossible on
-  // this route's passes, so any error compileImpl reports is fatal.
-  return compileImpl(Root, Opts, nullptr);
+Expected<CompileResult> CompilerPipeline::compile(const Stream &Root) const {
+  Status St;
+  CompileResult R = compileImpl(Root, St);
+  if (!St.isOk())
+    return St;
+  return R;
 }
 
 Expected<CompileResult> CompilerPipeline::tryCompile(const Stream &Root) const {
-  Status St;
-  CompileResult R = compileImpl(Root, Opts, &St);
-  if (St.isOk())
+  Expected<CompileResult> R = compile(Root);
+  if (R)
     return R;
+  const Status &St = R.status();
   // Degradation ladder: an optimization-pass or verifier failure means
   // the *rewritten* program is suspect — the program as written is not.
   // Recompile in Base mode and record why.
@@ -208,33 +210,28 @@ Expected<CompileResult> CompilerPipeline::tryCompile(const Stream &Root) const {
     return St.withContext("compile (base mode)");
   PipelineOptions BaseOpts = Opts;
   BaseOpts.Mode = OptMode::Base;
-  Status BaseSt;
-  CompileResult BaseR = compileImpl(Root, BaseOpts, &BaseSt);
-  if (!BaseSt.isOk())
-    return BaseSt.withContext("base-mode degraded recompile");
-  BaseR.Degraded = true;
-  BaseR.DegradeReason = St.str();
+  Expected<CompileResult> BaseR = CompilerPipeline(BaseOpts).compile(Root);
+  if (!BaseR)
+    return BaseR.status().withContext("base-mode degraded recompile");
+  BaseR->Degraded = true;
+  BaseR->DegradeReason = St.str();
   return BaseR;
 }
 
-/// The shared pipeline body. With \p St null any verification failure
-/// is fatal (compile()'s contract); with \p St non-null it is recorded
-/// there and the partial result returned (tryCompile()'s contract).
-/// \p Opts shadows the member deliberately: the degraded Base-mode
-/// recompile reruns this body under modified options.
+/// The pipeline body: a verification failure is recorded in \p St and
+/// the partial result returned.
 CompileResult CompilerPipeline::compileImpl(const Stream &Root,
-                                            const PipelineOptions &Opts,
-                                            Status *St) const {
+                                            Status &St) const {
   CompileResult R;
   AnalysisManager *AM = Opts.AM ? Opts.AM : &AnalysisManager::global();
 
   // VerifyRates: re-derive the balance equations of the current stream
-  // after a rewrite pass, recorded as its own timed pass and fatal (with
-  // the offending pass named) on the first inconsistency — a corrupted
-  // rewrite dies here instead of as a wrong answer three passes later.
-  // The pass-verifier-trip fault point injects a failure here to drive
-  // the recovery ladder deterministically. Returns false when
-  // compilation must stop (recoverable mode only).
+  // after a rewrite pass, recorded as its own timed pass and a failure
+  // (with the offending pass named) on the first inconsistency — a
+  // corrupted rewrite stops here instead of becoming a wrong answer three
+  // passes later. The pass-verifier-trip fault point injects a failure
+  // here to drive the recovery ladder deterministically. Returns false
+  // when compilation must stop.
   auto verifyAfter = [&](const Stream &S) {
     if (!Opts.VerifyAfterEachPass)
       return true;
@@ -246,11 +243,8 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
       Err = "injected verifier trip";
     if (Err.empty())
       return true;
-    std::string Msg =
-        "rate verification failed after pass '" + After + "': " + Err;
-    if (!St)
-      fatalError(Msg);
-    *St = Status(ErrorCode::VerifyFailed, Msg);
+    St = Status(ErrorCode::VerifyFailed,
+                "rate verification failed after pass '" + After + "': " + Err);
     return false;
   };
 
@@ -423,11 +417,8 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
             faults::shouldFail(faults::Point::LintVerifierTrip))
           LintErr = std::string(LP.Name) + ": injected lint-verifier trip";
         if (!LintErr.empty()) {
-          std::string Msg = "lint verification failed after lowering: " +
-                            LintErr;
-          if (!St)
-            fatalError(Msg);
-          *St = Status(ErrorCode::VerifyFailed, Msg);
+          St = Status(ErrorCode::VerifyFailed,
+                      "lint verification failed after lowering: " + LintErr);
           return R;
         }
       }
@@ -450,5 +441,5 @@ CompileResult CompilerPipeline::compileImpl(const Stream &Root,
 
 CompileResult slin::compileStream(const Stream &Root,
                                   const PipelineOptions &Opts) {
-  return CompilerPipeline(Opts).compile(Root);
+  return orDie(CompilerPipeline(Opts).compile(Root));
 }

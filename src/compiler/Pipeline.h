@@ -13,7 +13,7 @@
 /// PipelineOptions is the single options struct for the whole stack:
 /// what used to be scattered across the optimizer options, MeasureOptions'
 /// engine fields, and per-engine knob structs. `optimize()` and friends
-/// (opt/Optimizer.h) are thin wrappers over CompilerPipeline::compile.
+/// (opt/Optimizer.h) are orDie wrappers over CompilerPipeline::compile.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,9 +113,9 @@ struct CompileResult {
   bool ProgramCacheHit = false;
   std::vector<PassInfo> Passes;
 
-  /// tryCompile only: the requested configuration failed and this
-  /// result came from the degradation ladder (a Base-mode recompile).
-  /// DegradeReason records the original failure for observability.
+  /// The result is not what was requested: tryCompile's Base-mode
+  /// recompile after a failure, or (Engine::Native) op tapes after
+  /// native codegen failed. DegradeReason records why.
   bool Degraded = false;
   std::string DegradeReason;
 
@@ -128,30 +128,29 @@ class CompilerPipeline {
 public:
   explicit CompilerPipeline(PipelineOptions Opts) : Opts(std::move(Opts)) {}
 
-  /// Runs the configured passes on \p Root. Fatal on a verifier
-  /// failure — the historical contract, kept for tools and tests that
-  /// want a broken rewrite to die loudly.
-  CompileResult compile(const Stream &Root) const;
+  /// Runs the configured passes on \p Root. A verifier failure (real, or
+  /// injected via the pass-/lint-verifier-trip fault points) comes back
+  /// as ErrorCode::VerifyFailed naming the pass it followed.
+  Expected<CompileResult> compile(const Stream &Root) const;
 
-  /// The serving-path front door: like compile(), but a recoverable
-  /// failure degrades instead of aborting. An optimization-pass or
-  /// verifier failure (real, or injected via the pass-verifier-trip
-  /// fault point) triggers one recompile in Base mode — the program as
-  /// written, the always-correct degradation target — with the original
-  /// failure recorded in CompileResult::DegradeReason. Only a failure
-  /// of that Base recompile (or of Base itself) returns a Status.
+  /// compile() plus the degradation ladder, the serving path's choice:
+  /// a failure of the requested configuration triggers one recompile in
+  /// Base mode — the program as written, the always-correct degradation
+  /// target — with the original failure recorded in
+  /// CompileResult::DegradeReason. Only a failure of that Base recompile
+  /// (or of Base itself) returns a Status.
   Expected<CompileResult> tryCompile(const Stream &Root) const;
 
   const PipelineOptions &options() const { return Opts; }
 
 private:
-  CompileResult compileImpl(const Stream &Root, const PipelineOptions &Opts,
-                            Status *St) const;
+  CompileResult compileImpl(const Stream &Root, Status &St) const;
 
   PipelineOptions Opts;
 };
 
-/// One-call convenience wrapper.
+/// One-call convenience for tools, benches and tests that treat a broken
+/// rewrite as a bug: orDie over CompilerPipeline::compile.
 CompileResult compileStream(const Stream &Root, const PipelineOptions &Opts);
 
 } // namespace slin

@@ -5,7 +5,6 @@
 #include "compiler/ArtifactStore.h"
 #include "compiler/StructuralHash.h"
 #include "sched/Rates.h"
-#include "support/Diag.h"
 #include "support/StatsRegistry.h"
 
 #include <chrono>
@@ -30,8 +29,7 @@ CompiledProgram::CompiledProgram(StreamPtr Root, CompiledOptions Opts,
 
 CompiledProgram::CompiledProgram(const Stream &Root, CompiledOptions Opts)
     : CompiledProgram(Root.clone(), Opts, /*FromArtifact=*/false) {
-  if (Status St = lower(); !St)
-    fatalError(St.message());
+  orDie(lower());
 }
 
 Expected<std::shared_ptr<const CompiledProgram>>
@@ -45,14 +43,14 @@ CompiledProgram::lowerLoaded(StreamPtr Root, CompiledOptions Opts) {
 
 Status CompiledProgram::lower() {
   // Flattening assumes a tree with a steady state; check it first.
-  if (Expected<RateSignature> R = tryComputeRates(*Root); !R)
+  if (Expected<RateSignature> R = computeRates(*Root); !R)
     return R.status();
   auto Start = std::chrono::steady_clock::now();
   Graph = FlatGraph(*Root);
   Stats.FlattenSeconds = secondsSince(Start);
 
   Start = std::chrono::steady_clock::now();
-  Expected<StaticSchedule> S = tryComputeSchedule(Graph, Opts.BatchIterations);
+  Expected<StaticSchedule> S = computeSchedule(Graph, Opts.BatchIterations);
   if (!S)
     return S.status();
   Sched = S.take();
@@ -242,7 +240,7 @@ CompiledProgramRef ProgramCache::get(const Stream &Root,
       if (WasHit)
         *WasHit = true;
       if (NeedsPublish && !Store->contains(AK)) {
-        bool Stored = Store->store(AK, *Hit);
+        bool Stored = Store->store(AK, *Hit).isOk();
         std::lock_guard<std::mutex> Lock(Mutex);
         ++(Stored ? Counters.DiskStores : Counters.DiskStoreFailures);
       }
@@ -257,7 +255,7 @@ CompiledProgramRef ProgramCache::get(const Stream &Root,
         *WasHit = true;
       std::lock_guard<std::mutex> Lock(Mutex);
       ++Counters.DiskHits;
-      return insertLocked(K, std::move(Loaded), /*Published=*/true);
+      return insertLocked(K, Loaded.take(), /*Published=*/true);
     }
     std::lock_guard<std::mutex> Lock(Mutex);
     ++Counters.DiskMisses;
@@ -267,7 +265,7 @@ CompiledProgramRef ProgramCache::get(const Stream &Root,
   // structure is wasteful but correct (first insert wins).
   auto Program = std::make_shared<const CompiledProgram>(Root, Opts);
   if (Store) {
-    bool Stored = Store->store(AK, *Program);
+    bool Stored = Store->store(AK, *Program).isOk();
     std::lock_guard<std::mutex> Lock(Mutex);
     ++(Stored ? Counters.DiskStores : Counters.DiskStoreFailures);
   }
@@ -298,7 +296,7 @@ CompiledProgramRef ProgramCache::lookup(const HashDigest &Structure,
     return nullptr;
   }
   ++Counters.DiskHits;
-  return insertLocked(K, std::move(Loaded), /*Published=*/true);
+  return insertLocked(K, Loaded.take(), /*Published=*/true);
 }
 
 /// Inserts under the already-held lock, counting a miss (or, when a
@@ -364,12 +362,12 @@ size_t ProgramCache::prefetchFrom(ArtifactStore &Store) {
       if (Entries.count(CK))
         continue;
     }
-    CompiledProgramRef P = Store.load(K);
+    Expected<CompiledProgramRef> P = Store.load(K);
     if (!P)
       continue;
     std::lock_guard<std::mutex> Lock(Mutex);
     auto Inserted = Entries.emplace(
-        CK, Entry{std::move(P), ++UseClock, /*Published=*/true});
+        CK, Entry{P.take(), ++UseClock, /*Published=*/true});
     if (Inserted.second) {
       ++Loaded;
       evictToCapacityLocked();

@@ -91,8 +91,9 @@ public:
   };
 
   /// Compiles \p Root (cloning it first; the clone is owned by the
-  /// artifact and outlives every executor instantiated from it). Reports
-  /// a fatal error when \p Root has no valid steady state or schedule.
+  /// artifact and outlives every executor instantiated from it). Aborts
+  /// (orDie) when \p Root has no valid steady state or schedule: a graph
+  /// built in code without one is a programmer error.
   CompiledProgram(const Stream &Root, CompiledOptions Opts);
 
   /// The same lowering over a tree decoded from a stored artifact

@@ -350,11 +350,11 @@ size_t CompiledExecutor::outputsProduced() const {
 
 namespace {
 
-/// Deadline poll shared by the try* run loops, at firing-program
-/// granularity (a batch is microseconds; the check is a clock read).
-/// The exec-hang fault point simulates a wedged run: it parks the
-/// thread until the deadline trips — never indefinitely, so an unarmed
-/// or deadline-less test cannot wedge itself.
+/// Deadline poll of the run loop, at firing-program granularity (a
+/// batch is microseconds; the check is a clock read). The exec-hang
+/// fault point simulates a wedged run: it parks the thread until the
+/// deadline trips — never indefinitely, so an unarmed or deadline-less
+/// test cannot wedge itself.
 Status checkDeadline(const faults::RunDeadline *DL) {
   if (faults::shouldFail(faults::Point::ExecHang) && DL) {
     while (!DL->expired())
@@ -371,8 +371,28 @@ Status checkDeadline(const faults::RunDeadline *DL) {
 
 } // namespace
 
-Status CompiledExecutor::tryRunIterations(int64_t Iters,
-                                          const faults::RunDeadline *DL) {
+/// The one run loop. Outputs and Latency stop at \p NOutputs observable
+/// outputs and treat an unproductive program as a deadlock; Iterations
+/// stops after \p Iters steady iterations and fires a batch only while a
+/// whole one remains. Latency never fires the batch program.
+Status CompiledExecutor::drive(Stop Mode, size_t NOutputs, int64_t Iters,
+                               const faults::RunDeadline *DL,
+                               double *FirstOutputSeconds) {
+  const bool ByOutputs = Mode != Stop::Iterations;
+  if (ByOutputs && outputsProduced() >= NOutputs)
+    return Status::ok();
+  const auto Start = FirstOutputSeconds
+                         ? std::chrono::steady_clock::now()
+                         : std::chrono::steady_clock::time_point();
+  const size_t Initial = outputsProduced();
+  auto NoteFirstOutput = [&] {
+    if (!FirstOutputSeconds || outputsProduced() <= Initial)
+      return;
+    *FirstOutputSeconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - Start)
+                              .count();
+    FirstOutputSeconds = nullptr;
+  };
   if (!InitDone) {
     if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
       return Status(ErrorCode::Deadlock,
@@ -383,11 +403,14 @@ Status CompiledExecutor::tryRunIterations(int64_t Iters,
     runProgram(Sched.InitProgram);
     compact();
     InitDone = true;
+    NoteFirstOutput();
   }
-  while (Iters > 0) {
+  while (ByOutputs ? outputsProduced() < NOutputs : Iters > 0) {
     if (Status St = checkDeadline(DL); !St.isOk())
       return St;
-    if (Iters >= Sched.BatchIterations &&
+    size_t Before = outputsProduced();
+    if (Mode != Stop::Latency &&
+        (ByOutputs || Iters >= Sched.BatchIterations) &&
         extInAvailable() >= static_cast<size_t>(Sched.BatchExternalNeed)) {
       runProgram(Sched.BatchProgram);
       Iters -= Sched.BatchIterations;
@@ -396,29 +419,48 @@ Status CompiledExecutor::tryRunIterations(int64_t Iters,
       runProgram(Sched.SteadyProgram);
       --Iters;
     } else {
+      std::string Goal =
+          ByOutputs ? "needed " + std::to_string(NOutputs) +
+                          " outputs, have " +
+                          std::to_string(outputsProduced())
+                    : std::to_string(Iters) + " iterations remaining";
       return Status(
           ErrorCode::Deadlock,
           "stream graph deadlocked: a steady-state iteration needs " +
               std::to_string(Sched.SteadyExternalNeed) +
               " external input items, have " +
-              std::to_string(extInAvailable()) + " (" +
-              std::to_string(Iters) + " iterations remaining)");
+              std::to_string(extInAvailable()) + " (" + Goal + ")");
     }
     compact();
+    if (ByOutputs && outputsProduced() == Before)
+      return Status(ErrorCode::Deadlock,
+                    "stream graph deadlocked: steady state produces no "
+                    "observable output");
+    NoteFirstOutput();
   }
   return Status::ok();
 }
 
-void CompiledExecutor::runIterations(int64_t Iters) {
-  if (Status St = tryRunIterations(Iters); !St.isOk())
-    fatalError(St.message());
+Status CompiledExecutor::run(size_t NOutputs, const faults::RunDeadline *DL) {
+  return drive(Stop::Outputs, NOutputs, 0, DL, nullptr);
 }
 
-Status CompiledExecutor::trySeedSteadyState(int64_t StartIteration) {
+Status CompiledExecutor::runIterations(int64_t Iters,
+                                       const faults::RunDeadline *DL) {
+  return drive(Stop::Iterations, 0, Iters, DL, nullptr);
+}
+
+Status CompiledExecutor::tryRunLatency(size_t NOutputs,
+                                       const faults::RunDeadline *DL,
+                                       double *FirstOutputSeconds) {
+  return drive(Stop::Latency, NOutputs, 0, DL, FirstOutputSeconds);
+}
+
+Status CompiledExecutor::seedSteadyState(int64_t StartIteration) {
   const CompiledProgram::ShardInfo &SI = Prog->shardInfo();
-  // The asserts of seedSteadyState, checked: a worker thread must hand
-  // a seeding anomaly back to the parallel backend (which owns the
-  // sequential fallback), not abort the process.
+  // Checked, not asserted: a worker thread must hand a seeding anomaly
+  // back to the parallel backend (which owns the sequential fallback),
+  // not abort the process.
   if (!SI.Shardable)
     return Status(ErrorCode::ShardAnomaly,
                   "seeding requires a shardable program (" + SI.Reason +
@@ -442,14 +484,6 @@ Status CompiledExecutor::trySeedSteadyState(int64_t StartIteration) {
   if (faults::shouldFail(faults::Point::ShardSeedCorrupt))
     return Status(ErrorCode::ShardAnomaly,
                   "injected shard-seed corruption");
-  seedSteadyState(StartIteration);
-  return Status::ok();
-}
-
-void CompiledExecutor::seedSteadyState(int64_t StartIteration) {
-  const CompiledProgram::ShardInfo &SI = Prog->shardInfo();
-  assert(SI.Shardable && "seeding requires a shardable program");
-  assert(!InitDone && Firings == 0 && "seed only a fresh executor");
 
   for (size_t C = 0; C != Channels.size(); ++C) {
     if (static_cast<int>(C) == Graph.ExternalIn ||
@@ -491,105 +525,5 @@ void CompiledExecutor::seedSteadyState(int64_t StartIteration) {
         .Fields.Values[static_cast<size_t>(Seed.Field)][0] = V;
   }
   InitDone = true;
-}
-
-Status CompiledExecutor::tryRun(size_t NOutputs,
-                                const faults::RunDeadline *DL) {
-  if (outputsProduced() >= NOutputs)
-    return Status::ok();
-  if (!InitDone) {
-    if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: initialization needs " +
-                        std::to_string(Sched.InitExternalNeed) +
-                        " external input items, have " +
-                        std::to_string(extInAvailable()));
-    runProgram(Sched.InitProgram);
-    compact();
-    InitDone = true;
-  }
-  while (outputsProduced() < NOutputs) {
-    if (Status St = checkDeadline(DL); !St.isOk())
-      return St;
-    size_t Before = outputsProduced();
-    if (extInAvailable() >= static_cast<size_t>(Sched.BatchExternalNeed))
-      runProgram(Sched.BatchProgram);
-    else if (extInAvailable() >=
-             static_cast<size_t>(Sched.SteadyExternalNeed))
-      runProgram(Sched.SteadyProgram);
-    else
-      return Status(
-          ErrorCode::Deadlock,
-          "stream graph deadlocked: a steady-state iteration needs " +
-              std::to_string(Sched.SteadyExternalNeed) +
-              " external input items, have " +
-              std::to_string(extInAvailable()) + " (needed " +
-              std::to_string(NOutputs) + " outputs, have " +
-              std::to_string(outputsProduced()) + ")");
-    compact();
-    if (outputsProduced() == Before)
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: steady state produces no "
-                    "observable output");
-  }
-  return Status::ok();
-}
-
-void CompiledExecutor::run(size_t NOutputs) {
-  if (Status St = tryRun(NOutputs); !St.isOk())
-    fatalError(St.message());
-}
-
-Status CompiledExecutor::tryRunLatency(size_t NOutputs,
-                                       const faults::RunDeadline *DL,
-                                       double *FirstOutputSeconds) {
-  const auto Start = std::chrono::steady_clock::now();
-  const size_t Initial = outputsProduced();
-  bool FirstSeen = false;
-  auto NoteFirstOutput = [&] {
-    if (FirstSeen || outputsProduced() <= Initial)
-      return;
-    FirstSeen = true;
-    if (FirstOutputSeconds)
-      *FirstOutputSeconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        Start)
-              .count();
-  };
-  if (outputsProduced() >= NOutputs)
-    return Status::ok();
-  if (!InitDone) {
-    if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: initialization needs " +
-                        std::to_string(Sched.InitExternalNeed) +
-                        " external input items, have " +
-                        std::to_string(extInAvailable()));
-    runProgram(Sched.InitProgram);
-    compact();
-    InitDone = true;
-    NoteFirstOutput();
-  }
-  while (outputsProduced() < NOutputs) {
-    if (Status St = checkDeadline(DL); !St.isOk())
-      return St;
-    size_t Before = outputsProduced();
-    if (extInAvailable() < static_cast<size_t>(Sched.SteadyExternalNeed))
-      return Status(
-          ErrorCode::Deadlock,
-          "stream graph deadlocked: a steady-state iteration needs " +
-              std::to_string(Sched.SteadyExternalNeed) +
-              " external input items, have " +
-              std::to_string(extInAvailable()) + " (needed " +
-              std::to_string(NOutputs) + " outputs, have " +
-              std::to_string(outputsProduced()) + ")");
-    runProgram(Sched.SteadyProgram);
-    compact();
-    if (outputsProduced() == Before)
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: steady state produces no "
-                    "observable output");
-    NoteFirstOutput();
-  }
   return Status::ok();
 }

@@ -73,34 +73,30 @@ public:
   /// Appends items to the graph's external input channel.
   void provideInput(const std::vector<double> &Items);
 
-  /// Runs batch programs (falling back to single steady iterations when
-  /// the remaining external input cannot cover a batch) until the
-  /// observable output count reaches \p NOutputs. Reports a fatal error
-  /// when the graph deadlocks (insufficient input / invalid graph).
-  void run(size_t NOutputs);
+  /// The run entries. Each returns ErrorCode::Deadlock when the graph
+  /// cannot make progress (insufficient input / unproductive steady
+  /// state) and polls an optional \p DL between firing programs, so a
+  /// runaway (or injected-hang) run returns Timeout/Cancelled. On any
+  /// non-Ok Status the executor's state is indeterminate mid-stream —
+  /// recover by rerunning on a fresh executor, never by continuing this
+  /// one. All three share one run loop (drive()).
+  ///
+  /// run: fires batch programs (falling back to single steady
+  /// iterations when the remaining external input cannot cover a batch)
+  /// until the observable output count reaches \p NOutputs.
+  Status run(size_t NOutputs, const faults::RunDeadline *DL = nullptr);
 
   /// Runs the init program (if not yet run) plus exactly \p Iters steady
   /// iterations, batch-granular where input allows. The iteration-driven
   /// counterpart of run() used by the parallel backend, whose shards and
   /// reference runs must execute identical firing sequences.
-  void runIterations(int64_t Iters);
+  Status runIterations(int64_t Iters,
+                       const faults::RunDeadline *DL = nullptr);
 
-  /// Serving-path front doors behind run()/runIterations(): a deadlock
-  /// (insufficient input / unproductive steady state) comes back as
-  /// ErrorCode::Deadlock instead of aborting, and an optional \p DL is
-  /// polled between firing programs so a runaway (or injected-hang) run
-  /// returns Timeout/Cancelled. On any non-Ok Status the executor's
-  /// state is indeterminate mid-stream — recover by rerunning on a
-  /// fresh executor, never by continuing this one.
-  Status tryRun(size_t NOutputs,
-                const faults::RunDeadline *DL = nullptr);
-  Status tryRunIterations(int64_t Iters,
-                          const faults::RunDeadline *DL = nullptr);
-
-  /// Latency-mode tryRun: fires single steady iterations only — never
+  /// Latency-mode run: fires single steady iterations only — never
   /// the fused B-iteration batch program — so the first observable
   /// output lands after one iteration's work instead of a whole
-  /// batch's. Outputs are bit-identical to tryRun's (the batch program
+  /// batch's. Outputs are bit-identical to run's (the batch program
   /// replays the same firing sequence); only the time-to-first-output
   /// changes. \p FirstOutputSeconds (optional) receives the wall-clock
   /// seconds from this call's entry to the first new observable
@@ -116,16 +112,12 @@ public:
   /// closed-form filter state is seeded exactly per the program's
   /// ShardInfo. The caller must then replay shardInfo().WashoutIterations
   /// steady iterations (discarding their outputs) before the state — and
-  /// everything after it — is bit-identical to a sequential run. Only
-  /// valid on shardable programs.
-  void seedSteadyState(int64_t StartIteration);
-
-  /// seedSteadyState with the preconditions *checked*: a non-shardable
-  /// program, a stale executor, or an out-of-range seed recipe (and the
-  /// shard-seed-corrupt fault point) return ErrorCode::ShardAnomaly
-  /// instead of asserting — the parallel backend's cue to fall back to
-  /// its sequential path.
-  Status trySeedSteadyState(int64_t StartIteration);
+  /// everything after it — is bit-identical to a sequential run. A
+  /// non-shardable program, a stale executor, or an out-of-range seed
+  /// recipe (and the shard-seed-corrupt fault point) return
+  /// ErrorCode::ShardAnomaly — the parallel backend's cue to fall back
+  /// to its sequential path.
+  Status seedSteadyState(int64_t StartIteration);
 
   /// Items on the external output channel (never consumed).
   std::vector<double> outputSnapshot() const { return ExtOut; }
@@ -184,6 +176,12 @@ private:
   };
 
   class PtrTape;
+
+  /// What the shared run loop stops on, and whether it may fire the
+  /// batch program: Outputs and Iterations may, Latency may not.
+  enum class Stop { Outputs, Iterations, Latency };
+  Status drive(Stop Mode, size_t NOutputs, int64_t Iters,
+               const faults::RunDeadline *DL, double *FirstOutputSeconds);
 
   size_t extInAvailable() const { return ExtIn.size() - ExtInPos; }
   const double *readBase(int Chan) const;

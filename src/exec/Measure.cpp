@@ -12,7 +12,13 @@ using namespace slin;
 
 namespace {
 
-/// The measurement protocol over either engine: both expose the same
+/// Drives any engine to \p N outputs. The Dynamic oracle aborts on a
+/// deadlock itself; the compiled engines' Status is a bug here (the
+/// measured graphs are self-contained), so it aborts too.
+void runTo(Executor &E, size_t N) { E.run(N); }
+template <class ExecT> void runTo(ExecT &E, size_t N) { orDie(E.run(N)); }
+
+/// The measurement protocol over any engine: all expose the same
 /// run/outputsProduced surface.
 template <class ExecT, class MakeExec>
 Measurement measureWith(const MeasureOptions &Opts, MakeExec Make) {
@@ -25,10 +31,10 @@ Measurement measureWith(const MeasureOptions &Opts, MakeExec Make) {
     ExecT E = Make();
     ops::CountingScope Scope;
     ops::reset();
-    E.run(Opts.WarmupOutputs);
+    runTo(E, Opts.WarmupOutputs);
     OpCounts OpsBefore = ops::counts();
     size_t OutBefore = E.outputsProduced();
-    E.run(OutBefore + Opts.MeasureOutputs);
+    runTo(E, OutBefore + Opts.MeasureOutputs);
     M.Ops = ops::counts() - OpsBefore;
     M.Outputs = E.outputsProduced() - OutBefore;
   }
@@ -37,10 +43,10 @@ Measurement measureWith(const MeasureOptions &Opts, MakeExec Make) {
   if (Opts.MeasureTime) {
     ExecT E = Make();
     ops::CountingScope Scope(false);
-    E.run(Opts.WarmupOutputs);
+    runTo(E, Opts.WarmupOutputs);
     size_t OutBefore = E.outputsProduced();
     auto Start = std::chrono::steady_clock::now();
-    E.run(OutBefore + Opts.MeasureOutputs);
+    runTo(E, OutBefore + Opts.MeasureOutputs);
     auto End = std::chrono::steady_clock::now();
     double Secs = std::chrono::duration<double>(End - Start).count();
     size_t Outs = E.outputsProduced() - OutBefore;
@@ -52,64 +58,64 @@ Measurement measureWith(const MeasureOptions &Opts, MakeExec Make) {
   return M;
 }
 
+/// The native module an artifact engine runs: Native builds (or fetches)
+/// one — null when codegen degrades, which is the op-tape path; Parallel
+/// takes the one this process already holds, if any (never a build);
+/// Compiled runs the op tapes. Counting runs take the tapes regardless.
+codegen::NativeModuleRef moduleFor(Engine Eng, const CompiledProgram &P) {
+  if (Eng == Engine::Native)
+    return codegen::NativeModuleCache::global().get(P);
+  if (Eng == Engine::Parallel)
+    return codegen::NativeModuleCache::global().find(P);
+  return nullptr;
+}
+
+/// The observable outputs of a finished run, trimmed to \p NOutputs.
+template <class ExecT>
+std::vector<double> outputsOf(const ExecT &E, size_t NOutputs) {
+  std::vector<double> Out =
+      E.printed().empty() ? E.outputSnapshot() : E.printed();
+  if (Out.size() > NOutputs)
+    Out.resize(NOutputs);
+  return Out;
+}
+
 } // namespace
 
 Measurement slin::measureSteadyState(const Stream &Root,
                                      const MeasureOptions &Opts) {
-  if (usesCompiledArtifact(Opts.Exec.Eng)) {
-    CompiledProgramRef P =
-        Opts.Program ? Opts.Program
-                     : ProgramCache::global().get(Root, Opts.Exec.Compiled);
-    if (Opts.Exec.Eng == Engine::Parallel)
-      // The shards run the native module this process already holds for
-      // P, if any (never a build). Worker-thread op counts fold back into
-      // this thread's counters (ops::accumulate), so the protocol below
-      // reads them as usual.
-      return measureWith<ParallelExecutor>(Opts, [&] {
-        return ParallelExecutor(P, Opts.Exec.Compiled.Parallel);
-      });
-    if (Opts.Exec.Eng == Engine::Native) {
-      // The module attaches to both runs; counting-gated dispatch keeps
-      // the counting run on the op tapes (real FLOPs) while the timing
-      // run executes emitted code. Null (degraded) is the Compiled path.
-      codegen::NativeModuleRef M = codegen::NativeModuleCache::global().get(*P);
-      return measureWith<CompiledExecutor>(
-          Opts, [&] { return CompiledExecutor(P, M); });
-    }
-    return measureWith<CompiledExecutor>(
-        Opts, [&] { return CompiledExecutor(P, nullptr); });
-  }
-  return measureWith<Executor>(
-      Opts, [&] { return Executor(Root, Opts.Exec.Dynamic); });
+  if (!usesCompiledArtifact(Opts.Exec.Eng))
+    return measureWith<Executor>(
+        Opts, [&] { return Executor(Root, Opts.Exec.Dynamic); });
+  CompiledProgramRef P =
+      Opts.Program ? Opts.Program
+                   : ProgramCache::global().get(Root, Opts.Exec.Compiled);
+  codegen::NativeModuleRef Mod = moduleFor(Opts.Exec.Eng, *P);
+  if (Opts.Exec.Eng == Engine::Parallel)
+    // Worker-thread op counts fold back into this thread's counters
+    // (ops::accumulate), so the protocol reads them as usual.
+    return measureWith<ParallelExecutor>(Opts, [&] {
+      return ParallelExecutor(P, Opts.Exec.Compiled.Parallel, Mod);
+    });
+  return measureWith<CompiledExecutor>(
+      Opts, [&] { return CompiledExecutor(P, Mod); });
 }
 
 std::vector<double> slin::collectOutputs(const Stream &Root, size_t NOutputs,
                                          Engine Eng) {
-  auto Finish = [&](const std::vector<double> &Printed,
-                    std::vector<double> Snapshot) {
-    std::vector<double> Out = Printed.empty() ? std::move(Snapshot) : Printed;
-    if (Out.size() > NOutputs)
-      Out.resize(NOutputs);
-    return Out;
-  };
+  if (!usesCompiledArtifact(Eng)) {
+    Executor E(Root);
+    E.run(NOutputs);
+    return outputsOf(E, NOutputs);
+  }
+  CompiledProgramRef P = ProgramCache::global().get(Root, CompiledOptions());
+  codegen::NativeModuleRef Mod = moduleFor(Eng, *P);
   if (Eng == Engine::Parallel) {
-    // Shards run the native module this process holds for it, if any.
-    ParallelExecutor E(ProgramCache::global().get(Root, CompiledOptions()));
-    E.run(NOutputs);
-    return Finish(E.printed(), E.outputSnapshot());
+    ParallelExecutor E(P, P->options().Parallel, Mod);
+    orDie(E.run(NOutputs));
+    return outputsOf(E, NOutputs);
   }
-  if (Eng == Engine::Compiled) {
-    CompiledExecutor E(ProgramCache::global().get(Root, CompiledOptions()));
-    E.run(NOutputs);
-    return Finish(E.printed(), E.outputSnapshot());
-  }
-  if (Eng == Engine::Native) {
-    CompiledProgramRef P = ProgramCache::global().get(Root, CompiledOptions());
-    CompiledExecutor E(P, codegen::NativeModuleCache::global().get(*P));
-    E.run(NOutputs);
-    return Finish(E.printed(), E.outputSnapshot());
-  }
-  Executor E(Root);
-  E.run(NOutputs);
-  return Finish(E.printed(), E.outputSnapshot());
+  CompiledExecutor E(P, Mod);
+  orDie(E.run(NOutputs));
+  return outputsOf(E, NOutputs);
 }

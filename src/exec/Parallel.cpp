@@ -3,7 +3,6 @@
 #include "exec/Parallel.h"
 
 #include "exec/CompiledExecutor.h"
-#include "support/Diag.h"
 #include "support/MathUtil.h"
 
 #include <algorithm>
@@ -120,7 +119,7 @@ void ParallelExecutor::runShard(ShardResult &R, bool Counting,
       R.InFedEnd = End;
     }
     if (From > 0) {
-      R.St = E.trySeedSteadyState(From);
+      R.St = E.seedSteadyState(From);
       if (!R.St.isOk())
         return;
     }
@@ -132,7 +131,7 @@ void ParallelExecutor::runShard(ShardResult &R, bool Counting,
       // must run inside the counted span, exactly like a sequential
       // run's.
       ops::CountingScope Off(false);
-      R.St = E.tryRunIterations(Warm, DL);
+      R.St = E.runIterations(Warm, DL);
       if (!R.St.isOk())
         return;
     }
@@ -142,7 +141,7 @@ void ParallelExecutor::runShard(ShardResult &R, bool Counting,
   OpCounts Before = ops::counts();
   {
     ops::CountingScope Scope(Counting);
-    R.St = E.tryRunIterations(R.Span, DL);
+    R.St = E.runIterations(R.Span, DL);
   }
   R.Ops = ops::counts() - Before;
 }
@@ -164,7 +163,7 @@ Status ParallelExecutor::advanceTail(
   Status St;
   if (Fresh && IterationsDone > 0) {
     ops::CountingScope Off(false);
-    St = Tail->tryRunIterations(IterationsDone, DL);
+    St = Tail->runIterations(IterationsDone, DL);
   }
   Mark From{Tail->externalOutputs().size(), Tail->printed().size()};
   if (St.isOk())
@@ -184,7 +183,7 @@ Status ParallelExecutor::advanceTail(
 Status ParallelExecutor::runSequentially(int64_t Iters, const std::string &Why,
                                          const faults::RunDeadline *DL) {
   auto Step = [&](CompiledExecutor &E) {
-    return E.tryRunIterations(Iters, DL);
+    return E.runIterations(Iters, DL);
   };
   if (Status St = advanceTail(DL, Step); !St.isOk())
     return St;
@@ -196,13 +195,8 @@ Status ParallelExecutor::runSequentially(int64_t Iters, const std::string &Why,
   return Status::ok();
 }
 
-void ParallelExecutor::runIterations(int64_t Iters) {
-  if (Status St = tryRunIterations(Iters); !St.isOk())
-    fatalError(St.message());
-}
-
-Status ParallelExecutor::tryRunIterations(int64_t Iters,
-                                          const faults::RunDeadline *DL) {
+Status ParallelExecutor::runIterations(int64_t Iters,
+                                       const faults::RunDeadline *DL) {
   Stats = RunStats();
   if (Iters <= 0)
     return Status::ok();
@@ -287,13 +281,7 @@ Status ParallelExecutor::tryRunIterations(int64_t Iters,
                          Bad->St.str(), DL);
 }
 
-void ParallelExecutor::run(size_t NOutputs) {
-  if (Status St = tryRun(NOutputs); !St.isOk())
-    fatalError(St.message());
-}
-
-Status ParallelExecutor::tryRun(size_t NOutputs,
-                                const faults::RunDeadline *DL) {
+Status ParallelExecutor::run(size_t NOutputs, const faults::RunDeadline *DL) {
   size_t Have = outputsProduced();
   if (Have >= NOutputs)
     return Status::ok();
@@ -306,7 +294,7 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
     Stats = RunStats();
     if (Status St = advanceTail(DL,
                                 [&](CompiledExecutor &E) {
-                                  return E.tryRun(NOutputs, DL);
+                                  return E.run(NOutputs, DL);
                                 });
         !St.isOk())
       return St;
@@ -330,9 +318,11 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
       CompiledExecutor E(Prog, Native);
       ops::CountingScope Off(false);
       E.provideInput(In);
-      E.runIterations(1);
+      if (Status St = E.runIterations(1); !St.isOk())
+        return St;
       size_t O1 = E.outputsProduced();
-      E.runIterations(1);
+      if (Status St = E.runIterations(1); !St.isOk())
+        return St;
       ProbedPerIterOut = static_cast<int64_t>(E.outputsProduced() - O1);
     }
     PerIter = std::max<int64_t>(ProbedPerIterOut, 0);
@@ -356,7 +346,7 @@ Status ParallelExecutor::tryRun(size_t NOutputs,
                        S.SteadyExternalPops;
       Iters = std::min(Iters, std::max<int64_t>(Budget, 1));
     }
-    if (Status St = tryRunIterations(std::max<int64_t>(Iters, 1), DL);
+    if (Status St = runIterations(std::max<int64_t>(Iters, 1), DL);
         !St.isOk())
       return St;
     if (outputsProduced() == Before) {
@@ -446,7 +436,7 @@ void ExecutorPool::workerLoop() {
       if (J.Req.Eng == Engine::Parallel && !J.Req.Latency) {
         ParallelExecutor E(Prog, Prog->options().Parallel, J.Req.Native);
         E.provideInput(J.Req.Input);
-        R.St = E.tryRun(J.Req.NOutputs, DLP);
+        R.St = E.run(J.Req.NOutputs, DLP);
         if (R.St.isOk())
           R.Outputs = Prog->graph().RootProducesOutput ? E.outputSnapshot()
                                                        : E.printed();
@@ -458,7 +448,7 @@ void ExecutorPool::workerLoop() {
         R.St = J.Req.Latency
                    ? E.tryRunLatency(J.Req.NOutputs, DLP,
                                      &R.FirstOutputSeconds)
-                   : E.tryRun(J.Req.NOutputs, DLP);
+                   : E.run(J.Req.NOutputs, DLP);
         if (R.St.isOk())
           R.Outputs = Prog->graph().RootProducesOutput ? E.outputSnapshot()
                                                        : E.printed();

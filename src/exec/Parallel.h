@@ -90,27 +90,24 @@ public:
 
   /// Runs until the observable output count reaches \p NOutputs (like
   /// CompiledExecutor::run, but sharded across workers).
-  void run(size_t NOutputs);
+  ///
+  /// Both run entries return a deadlock (insufficient input) as
+  /// ErrorCode::Deadlock, and an optional \p DL is polled between firing
+  /// programs by every executor the call drives. A shard whose seeding
+  /// fails validation (ErrorCode::ShardAnomaly) is absorbed, not
+  /// surfaced: the fan-out's partial results are discarded and the rest
+  /// of the span re-runs sequentially — outputs and FLOP counts still
+  /// bit-identical — with lastRunStats() recording Sequential plus the
+  /// anomaly as FallbackReason. Timeout/Cancelled propagate (re-running
+  /// would only take longer); after one, this object's logical stream
+  /// is indeterminate — recover with a fresh executor.
+  Status run(size_t NOutputs, const faults::RunDeadline *DL = nullptr);
 
   /// Runs exactly \p Iters further steady iterations, sharded. The
   /// spliced outputs equal a single-threaded CompiledExecutor's
   /// runIterations over the same span, bit for bit.
-  void runIterations(int64_t Iters);
-
-  /// Serving-path front doors behind run()/runIterations(): a deadlock
-  /// (insufficient input) comes back as ErrorCode::Deadlock instead of
-  /// aborting, and an optional \p DL is polled between firing programs
-  /// by every executor this call drives. A shard whose seeding fails
-  /// validation (ErrorCode::ShardAnomaly) is absorbed, not surfaced: the
-  /// fan-out's partial results are discarded and the whole span re-runs
-  /// sequentially — outputs and FLOP counts still bit-identical — with
-  /// lastRunStats() recording Sequential plus the anomaly as
-  /// FallbackReason. Timeout/Cancelled propagate (re-running would only
-  /// take longer); after one, this object's logical stream is
-  /// indeterminate — recover with a fresh executor.
-  Status tryRun(size_t NOutputs, const faults::RunDeadline *DL = nullptr);
-  Status tryRunIterations(int64_t Iters,
-                          const faults::RunDeadline *DL = nullptr);
+  Status runIterations(int64_t Iters,
+                       const faults::RunDeadline *DL = nullptr);
 
   std::vector<double> outputSnapshot() const { return ExtOut; }
   const std::vector<double> &printed() const { return Printed; }

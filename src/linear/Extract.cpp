@@ -93,7 +93,7 @@ public:
     if (Push <= 0)
       return fail("filter pushes nothing");
     if (!Work.Resolved)
-      resolve(Work, F.fields());
+      orDie(resolve(Work, F.fields()));
 
     State S;
     S.Scalars.assign(static_cast<size_t>(Work.NumScalarSlots),

@@ -280,7 +280,7 @@ private:
   bool isDeadBranch(const Stream &Child, int JoinWeight) {
     if (JoinWeight != 0 || hasObservableEffects(Child))
       return false;
-    Expected<RateSignature> R = tryComputeRates(Child);
+    Expected<RateSignature> R = computeRates(Child);
     return R && R->Push == 0;
   }
 

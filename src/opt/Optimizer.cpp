@@ -7,7 +7,7 @@ using namespace slin;
 StreamPtr slin::optimize(const Stream &Root, const PipelineOptions &Opts) {
   // Route through the pass pipeline; the transform result is the
   // optimized stream (lowering only happens for compiled-engine options).
-  return CompilerPipeline(Opts).compile(Root).Optimized;
+  return compileStream(Root, Opts).Optimized;
 }
 
 StreamPtr slin::optimizeBase(const Stream &Root) { return Root.clone(); }

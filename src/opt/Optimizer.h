@@ -10,9 +10,9 @@
 /// These are thin wrappers over the compiler pipeline
 /// (compiler/Pipeline.h): OptMode and PipelineOptions live there —
 /// PipelineOptions also carries the engine/exec knobs and cache/diagnostic
-/// controls — and `optimize()` returns the pipeline's rewritten stream,
-/// discarding the compiled artifact (use CompilerPipeline::compile
-/// directly to keep it).
+/// controls — and `optimize()` is orDie over CompilerPipeline::compile
+/// that returns the rewritten stream and discards the compiled artifact
+/// (call compile() to keep the artifact or to handle a failure).
 ///
 //===----------------------------------------------------------------------===//
 

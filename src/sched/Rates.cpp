@@ -321,11 +321,7 @@ RateSignature solve(const Stream &S, RateErr &E, std::vector<int64_t> &Reps) {
 
 } // namespace
 
-// The try* forms are the primary implementations; the fatal forms wrap
-// them, so exactly one error-context mechanism (Status) remains between
-// the solver's internal RateErr sink and every caller.
-
-Expected<RateSignature> slin::tryComputeRates(const Stream &S) {
+Expected<RateSignature> slin::computeRates(const Stream &S) {
   RateErr E;
   RateSignature R = ratesOf(S, E);
   if (E.failed())
@@ -333,26 +329,11 @@ Expected<RateSignature> slin::tryComputeRates(const Stream &S) {
   return R;
 }
 
-Expected<std::vector<int64_t>>
-slin::tryChildRepetitions(const Stream &Container) {
+Expected<std::vector<int64_t>> slin::childRepetitions(const Stream &Container) {
   RateErr E;
   std::vector<int64_t> R;
   solve(Container, E, R);
   if (E.failed())
     return Status(ErrorCode::RateError, E.Msg);
   return R;
-}
-
-std::vector<int64_t> slin::childRepetitions(const Stream &Container) {
-  Expected<std::vector<int64_t>> R = tryChildRepetitions(Container);
-  if (!R)
-    fatalError(R.status().message());
-  return R.take();
-}
-
-RateSignature slin::computeRates(const Stream &S) {
-  Expected<RateSignature> R = tryComputeRates(S);
-  if (!R)
-    fatalError(R.status().message());
-  return R.take();
 }

@@ -2,7 +2,6 @@
 
 #include "sched/Schedule.h"
 
-#include "support/Diag.h"
 #include "support/MathUtil.h"
 
 #include <algorithm>
@@ -368,15 +367,8 @@ struct SimState {
 // Driver
 //===----------------------------------------------------------------------===//
 
-StaticSchedule slin::computeSchedule(const FlatGraph &G, int BatchIterations) {
-  Expected<StaticSchedule> S = tryComputeSchedule(G, BatchIterations);
-  if (!S)
-    fatalError(S.status().message());
-  return S.take();
-}
-
-Expected<StaticSchedule> slin::tryComputeSchedule(const FlatGraph &G,
-                                                  int BatchIterations) {
+Expected<StaticSchedule> slin::computeSchedule(const FlatGraph &G,
+                                               int BatchIterations) {
   auto Fail = [](std::string Msg) {
     return Status(ErrorCode::RateError, std::move(Msg));
   };

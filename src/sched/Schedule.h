@@ -91,17 +91,12 @@ struct StaticSchedule {
 };
 
 /// Computes the static schedule of \p G with \p BatchIterations steady
-/// states per batch program. Reports a fatal error for graphs without a
-/// valid steady state or whose initialization cannot be scheduled
-/// (deadlocked feedback loops).
-StaticSchedule computeSchedule(const flat::FlatGraph &G,
-                               int BatchIterations = 16);
-
-/// Non-fatal variant behind computeSchedule: the same failures come back
-/// as a Status (ErrorCode::RateError) — the artifact loader lowers trees
-/// read from disk and must turn an unschedulable one into a miss.
-Expected<StaticSchedule> tryComputeSchedule(const flat::FlatGraph &G,
-                                            int BatchIterations);
+/// states per batch program. A graph without a valid steady state, or
+/// whose initialization cannot be scheduled (deadlocked feedback loops),
+/// comes back as ErrorCode::RateError — the artifact loader lowers trees
+/// read from disk and turns an unschedulable one into a miss.
+Expected<StaticSchedule> computeSchedule(const flat::FlatGraph &G,
+                                         int BatchIterations = 16);
 
 /// Shard-boundary state computation for the parallel backend
 /// (exec/Parallel.h). A worker reconstructs the runtime state at steady

@@ -7,8 +7,9 @@
 ///
 /// \file
 /// Minimal diagnostic helpers. The library never throws; unrecoverable
-/// misuse (malformed stream graphs, inconsistent rates) reports a message
-/// to stderr and aborts, in the spirit of report_fatal_error.
+/// misuse (malformed stream graphs, violated invariants) reports a
+/// message to stderr and aborts, in the spirit of report_fatal_error.
+/// Failures a caller can recover from travel as support/Error.h Status.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -14,17 +14,20 @@
 ///     status is cheap to pass around and test.
 ///   * `Expected<T>`: a T or the Status explaining its absence.
 ///
-/// Policy (see README "Error handling"): the `try*` entry points —
-/// CompilerPipeline::tryCompile, ArtifactStore::tryStore/tryLoad,
-/// CompiledExecutor::tryRun*, ParallelExecutor::tryRun* — return
-/// Status/Expected and never abort on environmental failure; the
-/// original non-try forms keep their fatal contract (they wrap the try
-/// forms). fatalError itself remains for invariants only.
+/// Policy (see README "Error handling"): every operation the environment
+/// can make fail — compile, artifact store/load, rate and schedule
+/// solving, work-IR resolution, executor runs and shard seeding — has
+/// one entry point that returns Status/Expected and never aborts. Both
+/// types are [[nodiscard]]; a caller that cannot recover says so with
+/// orDie(), which aborts through fatalError with the status message.
+/// fatalError itself remains for invariants only.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLIN_SUPPORT_ERROR_H
 #define SLIN_SUPPORT_ERROR_H
+
+#include "support/Diag.h"
 
 #include <cassert>
 #include <optional>
@@ -58,7 +61,7 @@ const char *errorCodeName(ErrorCode C);
 /// An error code plus a context chain, or Ok. Modeled after
 /// absl::Status, sized for a codebase that mostly succeeds: the Ok
 /// status is two words and no allocation.
-class Status {
+class [[nodiscard]] Status {
 public:
   Status() = default;
   Status(ErrorCode C, std::string Message)
@@ -97,7 +100,7 @@ private:
 
 /// A value or the Status explaining its absence. The minimal subset of
 /// llvm::Expected this codebase needs; no exceptions, no heap jump.
-template <class T> class Expected {
+template <class T> class [[nodiscard]] Expected {
 public:
   /*implicit*/ Expected(T Value) : Value(std::move(Value)) {}
   /*implicit*/ Expected(Status St) : St(std::move(St)) {
@@ -137,6 +140,20 @@ private:
   std::optional<T> Value;
   Status St;
 };
+
+/// The one "cannot recover here" spelling: aborts through fatalError
+/// with \p St's message unless it is Ok.
+inline void orDie(const Status &St) {
+  if (!St.isOk())
+    fatalError(St.message());
+}
+
+/// The value of \p E, or an abort through fatalError with its status
+/// message.
+template <class T> T orDie(Expected<T> E) {
+  orDie(E.status());
+  return E.take();
+}
 
 } // namespace slin
 

@@ -24,7 +24,7 @@
 /// state throughput is unmeasurable by design.
 ///
 /// The second half is the run-deadline/cancellation token (RunDeadline):
-/// the try* executor entry points poll it between firing programs so an
+/// the executor run entry points poll it between firing programs so an
 /// injected hang (or a genuinely runaway run) returns ErrorCode::Timeout
 /// / Cancelled instead of wedging its worker thread.
 ///
@@ -85,10 +85,11 @@ void armFromEnv();
 // Run deadline / cancellation token
 //===----------------------------------------------------------------------===//
 
-/// A deadline plus an optional external cancel flag, polled by the try*
-/// run loops (exec/CompiledExecutor.h, exec/Parallel.h) at firing-
-/// program granularity — cheap (a clock read per steady batch) and
-/// responsive (a batch is microseconds). Default-constructed: unlimited.
+/// A deadline plus an optional external cancel flag, polled by the
+/// executor run loops (exec/CompiledExecutor.h, exec/Parallel.h) at
+/// firing-program granularity — cheap (a clock read per steady batch)
+/// and responsive (a batch is microseconds). Default-constructed:
+/// unlimited.
 class RunDeadline {
 public:
   RunDeadline() = default;

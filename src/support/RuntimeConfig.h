@@ -57,8 +57,9 @@ struct RuntimeConfig {
   /// SLIN_NO_NATIVE: disable the native codegen engine outright.
   bool NoNative = false;
 
-  /// SLIN_RUN_DEADLINE_MS: wall-clock deadline for every try* executor
-  /// run (0 = none).
+  /// SLIN_RUN_DEADLINE_MS: default wall-clock deadline for each served
+  /// executor run (slin-serviced requests, RunDeadline::fromEnv; 0 =
+  /// none).
   int64_t RunDeadlineMillis = 0;
 
   /// SLIN_FAULT: deterministic fault-injection arming spec.

@@ -69,7 +69,7 @@ std::string slin::verifyStreamRates(const Stream &Root) {
   // The balance solver recurses through every container, so one root
   // query validates all repetition vectors and splitter/joiner
   // consistency checks along the way.
-  if (Expected<RateSignature> R = tryComputeRates(Root); !R)
+  if (Expected<RateSignature> R = computeRates(Root); !R)
     return R.status().message();
   return "";
 }

@@ -301,16 +301,12 @@ private:
 
 } // namespace
 
-void wir::resolve(const WorkFunction &Work,
-                  const std::vector<FieldDef> &Fields) {
+Status wir::resolve(const WorkFunction &Work,
+                    const std::vector<FieldDef> &Fields) {
   std::string Err = Resolver(Work, Fields).run();
-  if (!Err.empty())
-    fatalError(Err);
-}
-
-std::string wir::tryResolve(const WorkFunction &Work,
-                            const std::vector<FieldDef> &Fields) {
-  return Resolver(Work, Fields).run();
+  if (Err.empty())
+    return Status::ok();
+  return Status(ErrorCode::Internal, std::move(Err));
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,8 @@
 #ifndef SLIN_WIR_IR_H
 #define SLIN_WIR_IR_H
 
+#include "support/Error.h"
+
 #include <cassert>
 #include <memory>
 #include <string>
@@ -384,15 +386,13 @@ struct WorkFunction {
 };
 
 /// Assigns local-variable slots and field indices throughout \p Work.
-/// Reports a fatal error on use of an undefined variable/field, a scalar
-/// used as an array (or vice versa), or assignment to a non-mutable field.
-void resolve(const WorkFunction &Work, const std::vector<FieldDef> &Fields);
-
-/// Non-fatal variant for work functions decoded from untrusted bytes (the
-/// artifact loader): returns the error message resolve() would abort
-/// with, or an empty string once \p Work is resolved.
-std::string tryResolve(const WorkFunction &Work,
-                       const std::vector<FieldDef> &Fields);
+/// Use of an undefined variable/field, a scalar used as an array (or
+/// vice versa), or assignment to a non-mutable field comes back as
+/// ErrorCode::Internal; \p Work is marked resolved only on success.
+/// Graphs built in code hold such errors as programmer errors (their
+/// lowering wraps this in orDie); the artifact loader, decoding work
+/// functions from untrusted bytes, turns one into a miss.
+Status resolve(const WorkFunction &Work, const std::vector<FieldDef> &Fields);
 
 /// Renders the work function as StreamIt-like text (for debugging and
 /// golden tests).

@@ -229,7 +229,7 @@ void wir::interpret(const WorkFunction &Work,
                     const std::vector<FieldDef> &Fields, FieldStore &State,
                     Tape &T) {
   if (!Work.Resolved)
-    resolve(Work, Fields);
+    orDie(resolve(Work, Fields));
   assert(State.Values.size() == Fields.size() &&
          "field store does not match field list");
   Interp(Work, Fields, State, T).run();

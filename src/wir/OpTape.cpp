@@ -460,7 +460,7 @@ private:
 OpProgram OpProgram::compile(const WorkFunction &Work,
                              const std::vector<FieldDef> &Fields) {
   if (!Work.Resolved)
-    resolve(Work, Fields);
+    orDie(resolve(Work, Fields));
   OpProgram P;
   OpTapeCompiler(Work, Fields, P).run();
   return P;

@@ -90,7 +90,7 @@ std::vector<uint8_t> serializeOrDie(const CompiledProgram &P) {
 /// Runs a fresh executor over \p P and returns the first \p N outputs.
 std::vector<double> runProgram(const CompiledProgramRef &P, size_t N) {
   CompiledExecutor E(P);
-  E.run(N);
+  EXPECT_TRUE(E.run(N).isOk());
   std::vector<double> Out =
       E.printed().empty() ? E.outputSnapshot() : E.printed();
   if (Out.size() > N)
@@ -786,7 +786,7 @@ TEST(DiskTier, UnlowerableStoredTreeIsAMissAndRecompiles) {
   }
 
   // The checksum verifies; decoding-and-lowering is what rejects it.
-  auto Direct = Guard.store().tryLoad(K);
+  auto Direct = Guard.store().load(K);
   ASSERT_FALSE(Direct);
   EXPECT_NE(Direct.status().message().find("malformed payload"),
             std::string::npos)

@@ -54,7 +54,7 @@ PipelineOptions cleanupOff(OptMode M) {
 /// Total steady-state buffer capacity of \p S's compiled schedule.
 int64_t bufferTotal(const Stream &S) {
   flat::FlatGraph G(S);
-  StaticSchedule Sched = computeSchedule(G, 16);
+  StaticSchedule Sched = orDie(computeSchedule(G, 16));
   return std::accumulate(Sched.ChannelBufSize.begin(),
                          Sched.ChannelBufSize.end(), int64_t{0});
 }
@@ -463,7 +463,7 @@ TEST(FoldedArtifact, RoundTripsThroughTheStore) {
 
   auto RunProgram = [](const CompiledProgramRef &P, size_t N) {
     CompiledExecutor E(P);
-    E.run(N);
+    EXPECT_TRUE(E.run(N).isOk());
     std::vector<double> Out =
         E.printed().empty() ? E.outputSnapshot() : E.printed();
     if (Out.size() > N)

@@ -35,7 +35,7 @@ TEST(Schedule, PipelineRepetitionsAndInit) {
   P.add(makeFIR({1, 2, 3})); // peek 3 pop 1: needs 2 items of lookahead
   P.add(makePrinterSink());
   flat::FlatGraph G(P);
-  StaticSchedule S = computeSchedule(G, 4);
+  StaticSchedule S = orDie(computeSchedule(G, 4));
   ASSERT_EQ(S.Repetitions.size(), 3u);
   EXPECT_EQ(S.Repetitions, (std::vector<int64_t>{1, 1, 1}));
   // Source must prime the FIR's peek - pop = 2 extra items.
@@ -55,7 +55,7 @@ TEST(Schedule, MismatchedRatesSolveMinimally) {
   P.add(makeCompressor(3));
   P.add(makePrinterSink());
   flat::FlatGraph G(P);
-  StaticSchedule S = computeSchedule(G, 1);
+  StaticSchedule S = orDie(computeSchedule(G, 1));
   // Expander x3, Compressor x2 balances 2*3 == 3*2; source feeds 3,
   // sink drains 2 per steady state.
   EXPECT_EQ(S.Repetitions, (std::vector<int64_t>{3, 3, 2, 2}));
@@ -64,7 +64,7 @@ TEST(Schedule, MismatchedRatesSolveMinimally) {
 TEST(Schedule, ExternalInputAccounting) {
   auto F = makeFIR({1, 2, 3, 4}); // peek 4 pop 1
   flat::FlatGraph G(*F);
-  StaticSchedule S = computeSchedule(G, 8);
+  StaticSchedule S = orDie(computeSchedule(G, 8));
   EXPECT_EQ(S.SteadyExternalPops, 1);
   EXPECT_EQ(S.SteadyExternalNeed, 1 + 3); // pop + lookahead
   EXPECT_EQ(S.BatchExternalPops, 8);
@@ -78,7 +78,7 @@ TEST(Schedule, HighWaterTracksBatch) {
   P.add(makeGain(2));
   P.add(makePrinterSink());
   flat::FlatGraph G(P);
-  StaticSchedule S = computeSchedule(G, 16);
+  StaticSchedule S = orDie(computeSchedule(G, 16));
   // The greedy program fires the source 16 times back to back, so the
   // source->gain channel's high-water mark is the full batch.
   bool Any = false;
@@ -88,16 +88,13 @@ TEST(Schedule, HighWaterTracksBatch) {
   EXPECT_TRUE(Any);
 }
 
-TEST(ScheduleDeath, DeadlockedFeedbackLoopIsFatal) {
+TEST(Schedule, DeadlockedFeedbackLoopIsARateError) {
   // No enqueued items: the joiner can never fire.
   auto FB = std::make_unique<FeedbackLoop>(
       "fb", Joiner::roundRobin({1, 1}), makeSumDiffFilter(), makeIdentity(),
       Splitter::roundRobin({1, 1}), std::vector<double>{});
   flat::FlatGraph G(*FB);
-  EXPECT_DEATH(computeSchedule(G, 4), "cannot schedule");
-
-  // The non-fatal form (the artifact loader's) returns the same failure.
-  Expected<StaticSchedule> S = tryComputeSchedule(G, 4);
+  Expected<StaticSchedule> S = computeSchedule(G, 4);
   ASSERT_FALSE(S);
   EXPECT_EQ(S.status().code(), ErrorCode::RateError);
   EXPECT_NE(S.status().message().find("cannot schedule"), std::string::npos)
@@ -294,7 +291,7 @@ TEST(CompiledExec, SourceFIRSink) {
   P.add(makeFIR({1, 2, 3}));
   P.add(makePrinterSink());
   CompiledExecutor E(P);
-  E.run(4);
+  EXPECT_TRUE(E.run(4).isOk());
   ASSERT_GE(E.printed().size(), 4u);
   for (int K = 0; K != 4; ++K)
     EXPECT_DOUBLE_EQ(E.printed()[static_cast<size_t>(K)], 6.0 * K + 8.0);
@@ -304,7 +301,7 @@ TEST(CompiledExec, ExternalInputAndOutput) {
   auto F = makeFIR({2, 5});
   CompiledExecutor E(*F);
   E.provideInput({1, 2, 3, 4});
-  E.run(3);
+  EXPECT_TRUE(E.run(3).isOk());
   auto Out = E.outputSnapshot();
   ASSERT_GE(Out.size(), 3u);
   EXPECT_DOUBLE_EQ(Out[0], 2 * 1 + 5 * 2);
@@ -322,18 +319,20 @@ TEST(CompiledExec, TailIterationsWhenInputShort) {
   for (int I = 0; I != 20; ++I)
     In.push_back(I);
   E.provideInput(In);
-  E.run(20);
+  EXPECT_TRUE(E.run(20).isOk());
   auto Out = E.outputSnapshot();
   ASSERT_EQ(Out.size(), 20u);
   for (int I = 0; I != 20; ++I)
     EXPECT_DOUBLE_EQ(Out[static_cast<size_t>(I)], 3.0 * I);
 }
 
-TEST(CompiledExecDeath, InsufficientInputIsFatal) {
+TEST(CompiledExec, InsufficientInputIsADeadlock) {
   auto F = makeFIR({1, 1, 1, 1});
   CompiledExecutor E(*F);
   E.provideInput({1, 2});
-  EXPECT_DEATH(E.run(1), "deadlocked");
+  Status St = E.run(1);
+  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+  EXPECT_NE(St.message().find("deadlocked"), std::string::npos) << St.str();
 }
 
 TEST(CompiledExec, InitWorkPeekingBeyondPopsOnExternalInput) {
@@ -352,7 +351,7 @@ TEST(CompiledExec, InitWorkPeekingBeyondPopsOnExternalInput) {
   };
   auto F1 = Make();
   flat::FlatGraph G(*F1);
-  StaticSchedule S = computeSchedule(G, 4);
+  StaticSchedule S = orDie(computeSchedule(G, 4));
   EXPECT_GE(S.InitExternalNeed, 5); // the init window, not just pops+extra
 
   std::vector<double> In = {1, 2, 3, 4, 5, 6, 7};
@@ -363,7 +362,7 @@ TEST(CompiledExec, InitWorkPeekingBeyondPopsOnExternalInput) {
   auto F3 = Make();
   CompiledExecutor C(*F3);
   C.provideInput(In);
-  C.run(4);
+  EXPECT_TRUE(C.run(4).isOk());
   auto Dyn = D.outputSnapshot();
   auto Comp = C.outputSnapshot();
   ASSERT_GE(Dyn.size(), 4u);
@@ -375,7 +374,9 @@ TEST(CompiledExec, InitWorkPeekingBeyondPopsOnExternalInput) {
   auto F4 = Make();
   CompiledExecutor Short(*F4);
   Short.provideInput({1, 2, 3, 4});
-  EXPECT_DEATH(Short.run(1), "deadlocked");
+  Status St = Short.run(1);
+  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+  EXPECT_NE(St.message().find("deadlocked"), std::string::npos) << St.str();
 }
 
 TEST(CompiledExec, InitWorkDifferentRates) {
@@ -388,7 +389,7 @@ TEST(CompiledExec, InitWorkDifferentRates) {
       3, 3, 1, stmts(push(add(add(pop(), pop()), pop())))));
   CompiledExecutor E(*F);
   E.provideInput({1, 2, 3, 4, 5});
-  E.run(3);
+  EXPECT_TRUE(E.run(3).isOk());
   auto Out = E.outputSnapshot();
   ASSERT_GE(Out.size(), 3u);
   EXPECT_DOUBLE_EQ(Out[0], 6);
@@ -402,7 +403,7 @@ TEST(CompiledExec, FeedbackLoopSumDiff) {
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
   CompiledExecutor E(*FB);
   E.provideInput({1, 2, 3, 4, 5, 6, 7, 8});
-  E.run(3);
+  EXPECT_TRUE(E.run(3).isOk());
   auto Out = E.outputSnapshot();
   ASSERT_GE(Out.size(), 3u);
   EXPECT_DOUBLE_EQ(Out[0], 1);
@@ -420,7 +421,7 @@ TEST(CompiledExec, BatchSizeDoesNotChangeOutputs) {
     CompiledOptions O;
     O.BatchIterations = B;
     CompiledExecutor E(P, O);
-    E.run(100);
+    EXPECT_TRUE(E.run(100).isOk());
     std::vector<double> Out(E.printed().begin(),
                             E.printed().begin() + 100);
     if (Ref.empty())
@@ -438,7 +439,7 @@ TEST(CompiledExec, FiringsAccounted) {
   CompiledOptions O;
   O.BatchIterations = 8;
   CompiledExecutor E(P, O);
-  E.run(8);
+  EXPECT_TRUE(E.run(8).isOk());
   // One batch: 8 firings each of source, gain, sink.
   EXPECT_EQ(E.firings(), 24u);
 }

@@ -239,8 +239,9 @@ TEST(CompiledProgram, OneArtifactManyIndependentInstances) {
                                                          CompiledOptions());
   CompiledExecutor E1(Program);
   CompiledExecutor E2(Program);
-  E1.run(64);
-  E2.run(64); // fresh state: same prefix, not a continuation
+  EXPECT_TRUE(E1.run(64).isOk());
+  // Fresh state: same prefix, not a continuation.
+  EXPECT_TRUE(E2.run(64).isOk());
   EXPECT_EQ(E1.printed(), E2.printed());
   // And both match the dynamic reference engine bit for bit.
   EXPECT_EQ(E1.printed(), collectOutputs(*Root, 64, Engine::Dynamic));

@@ -17,7 +17,7 @@ namespace {
 
 TEST(Sched, FilterRates) {
   auto F = makeFIR({1, 2, 3});
-  RateSignature R = computeRates(*F);
+  RateSignature R = orDie(computeRates(*F));
   EXPECT_EQ(R.Peek, 3);
   EXPECT_EQ(R.Pop, 1);
   EXPECT_EQ(R.Push, 1);
@@ -28,9 +28,9 @@ TEST(Sched, PipelineRepetitions) {
   Pipeline P("p");
   P.add(makeExpander(2));
   P.add(makeCompressor(3));
-  auto Reps = childRepetitions(P);
+  auto Reps = orDie(childRepetitions(P));
   EXPECT_EQ(Reps, (std::vector<int64_t>{3, 2}));
-  RateSignature R = computeRates(P);
+  RateSignature R = orDie(computeRates(P));
   EXPECT_EQ(R.Pop, 3);
   EXPECT_EQ(R.Push, 2);
 }
@@ -39,9 +39,9 @@ TEST(Sched, PipelinePeekCarriesExtra) {
   Pipeline P("p");
   P.add(makeFIR({1, 2, 3, 4})); // peek 4 pop 1
   P.add(makeCompressor(2));
-  auto Reps = childRepetitions(P);
+  auto Reps = orDie(childRepetitions(P));
   EXPECT_EQ(Reps, (std::vector<int64_t>{2, 1}));
-  RateSignature R = computeRates(P);
+  RateSignature R = orDie(computeRates(P));
   EXPECT_EQ(R.Pop, 2);
   EXPECT_EQ(R.Peek, 2 + 3); // extra lookahead of the FIR
   EXPECT_EQ(R.Push, 1);
@@ -62,11 +62,11 @@ TEST(Sched, SplitJoinDuplicate) {
     SJ.add(std::make_unique<Filter>("c1", std::vector<FieldDef>{},
                                     std::move(W1)));
   }
-  auto Reps = childRepetitions(SJ);
+  auto Reps = orDie(childRepetitions(SJ));
   // joinRep = lcm(lcm(4,2)/2, lcm(1,1)/1) = lcm(2,1) = 2;
   // rep0 = 2*2/4 = 1, rep1 = 1*2/1 = 2.
   EXPECT_EQ(Reps, (std::vector<int64_t>{1, 2}));
-  RateSignature R = computeRates(SJ);
+  RateSignature R = orDie(computeRates(SJ));
   EXPECT_EQ(R.Pop, 2);
   EXPECT_EQ(R.Push, 6);
 }
@@ -75,9 +75,9 @@ TEST(Sched, FeedbackLoopRates) {
   auto FB = std::make_unique<FeedbackLoop>(
       "fb", Joiner::roundRobin({1, 1}), makeSumDiffFilter(), makeIdentity(),
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
-  auto Reps = childRepetitions(*FB);
+  auto Reps = orDie(childRepetitions(*FB));
   EXPECT_EQ(Reps, (std::vector<int64_t>{1, 1}));
-  RateSignature R = computeRates(*FB);
+  RateSignature R = orDie(computeRates(*FB));
   EXPECT_EQ(R.Pop, 1);
   EXPECT_EQ(R.Push, 1);
 }
@@ -104,9 +104,9 @@ TEST(Sched, SplitJoinWholeCycleAlignment) {
                Joiner::roundRobin({4, 4}));
   SJ.add(MakeChild("a"));
   SJ.add(MakeChild("b"));
-  auto Reps = childRepetitions(SJ);
+  auto Reps = orDie(childRepetitions(SJ));
   EXPECT_EQ(Reps, (std::vector<int64_t>{2, 2}));
-  RateSignature R = computeRates(SJ);
+  RateSignature R = orDie(computeRates(SJ));
   EXPECT_EQ(R.Pop, 32);
   EXPECT_EQ(R.Push, 8);
 }
@@ -169,10 +169,10 @@ TEST(Sched, DeepNestRatesInLinearTime) {
   }
 
   auto Start = std::chrono::steady_clock::now();
-  RateSignature R = computeRates(*Inner);
+  RateSignature R = orDie(computeRates(*Inner));
   std::vector<std::vector<int64_t>> Reps;
   for (const Stream *S : Levels)
-    Reps.push_back(childRepetitions(*S));
+    Reps.push_back(orDie(childRepetitions(*S)));
   double Ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - Start)
                   .count();
@@ -188,13 +188,27 @@ TEST(Sched, DeepNestRatesInLinearTime) {
         << "level " << L;
 }
 
-TEST(SchedDeath, UnbalancedFeedbackLoopIsFatal) {
+TEST(Sched, UnbalancedFeedbackLoopIsARateError) {
   // Adder(2) pushes one item per firing but the splitter must send one
   // item per cycle to the loop AND one downstream: inconsistent.
   auto FB = std::make_unique<FeedbackLoop>(
       "fb", Joiner::roundRobin({1, 1}), makeAdder(2), makeIdentity(),
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
-  EXPECT_DEATH(childRepetitions(*FB), "inconsistent loop rates");
+  Expected<std::vector<int64_t>> Reps = childRepetitions(*FB);
+  ASSERT_FALSE(Reps);
+  EXPECT_EQ(Reps.status().code(), ErrorCode::RateError);
+  EXPECT_NE(Reps.status().message().find("inconsistent loop rates"),
+            std::string::npos)
+      << Reps.status().str();
+}
+
+TEST(SchedDeath, OrDieAbortsWithTheStatusMessage) {
+  auto FB = std::make_unique<FeedbackLoop>(
+      "fb", Joiner::roundRobin({1, 1}), makeAdder(2), makeIdentity(),
+      Splitter::roundRobin({1, 1}), std::vector<double>{0});
+  EXPECT_DEATH(orDie(childRepetitions(*FB)), "inconsistent loop rates");
+  EXPECT_DEATH(orDie(Status(ErrorCode::Deadlock, "stuck graph")),
+               "stuck graph");
 }
 
 TEST(Exec, SourceFIRSink) {

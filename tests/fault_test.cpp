@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Benchmarks.h"
 #include "codegen/CxxBackend.h"
 #include "codegen/NativeModule.h"
 #include "compiler/ArtifactStore.h"
@@ -68,14 +69,6 @@ StreamPtr firSourcePipeline(std::vector<double> Taps,
   return P;
 }
 
-/// A graph that pops external input (no source filter).
-StreamPtr externallyDrivenGraph() {
-  auto P = std::make_unique<Pipeline>("ext");
-  P->add(makeFIR({2, -1, 0.5, 4}, "extfir"));
-  P->add(makeGain(0.25));
-  return P;
-}
-
 CompiledProgramRef makeProgram(const Stream &Root,
                                CompiledOptions Opts = CompiledOptions()) {
   return std::make_shared<const CompiledProgram>(Root, Opts);
@@ -84,7 +77,7 @@ CompiledProgramRef makeProgram(const Stream &Root,
 /// Runs a fresh executor over \p P and returns the first \p N outputs.
 std::vector<double> runProgram(const CompiledProgramRef &P, size_t N) {
   CompiledExecutor E(P);
-  E.run(N);
+  EXPECT_TRUE(E.run(N).isOk());
   std::vector<double> Out =
       E.printed().empty() ? E.outputSnapshot() : E.printed();
   if (Out.size() > N)
@@ -247,23 +240,23 @@ TEST(StatusExpected, CodesContextsAndValues) {
   EXPECT_EQ(E.status().code(), ErrorCode::Corrupt);
 }
 
-TEST(StatusExpected, RatesTryFormsReportRateError) {
-  // The exec_test death test's graph, through the recoverable route: an
-  // unbalanced feedback loop names its inconsistency in a Status.
+TEST(StatusExpected, RatesReportRateError) {
+  // An unbalanced feedback loop names its inconsistency in a Status from
+  // both rate entry points.
   auto FB = std::make_unique<FeedbackLoop>(
       "fb", Joiner::roundRobin({1, 1}), makeAdder(2), makeIdentity(),
       Splitter::roundRobin({1, 1}), std::vector<double>{0});
-  Expected<std::vector<int64_t>> Reps = tryChildRepetitions(*FB);
+  Expected<std::vector<int64_t>> Reps = childRepetitions(*FB);
   ASSERT_FALSE(Reps);
   EXPECT_EQ(Reps.status().code(), ErrorCode::RateError);
   EXPECT_NE(Reps.status().message().find("inconsistent loop rates"),
             std::string::npos);
-  Expected<RateSignature> Rates = tryComputeRates(*FB);
+  Expected<RateSignature> Rates = computeRates(*FB);
   ASSERT_FALSE(Rates);
   EXPECT_EQ(Rates.status().code(), ErrorCode::RateError);
 
   StreamPtr Good = firSourcePipeline({1, 2, 3});
-  Expected<RateSignature> R = tryComputeRates(*Good);
+  Expected<RateSignature> R = computeRates(*Good);
   ASSERT_TRUE(R);
   EXPECT_EQ(R->Push, 0); // printer sink: no pushed output
 }
@@ -280,7 +273,7 @@ TEST(StoreFaults, ShortWriteRetriesAndPublishes) {
   std::vector<double> Expect = runProgram(P, 128);
 
   faults::arm(faults::Point::ArtifactWriteShort, 1);
-  Status St = Guard.store().tryStore(keyFor(P), *P);
+  Status St = Guard.store().store(keyFor(P), *P);
   EXPECT_TRUE(St.isOk()) << St.str();
   EXPECT_GE(faults::hitCount(faults::Point::ArtifactWriteShort), 1u);
 
@@ -290,7 +283,7 @@ TEST(StoreFaults, ShortWriteRetriesAndPublishes) {
   EXPECT_EQ(S.IoRetries, 1u);
   EXPECT_EQ(Guard.tmpFileCount(), 0u); // the failed attempt left no litter
 
-  auto Loaded = Guard.store().tryLoad(keyFor(P));
+  auto Loaded = Guard.store().load(keyFor(P));
   ASSERT_TRUE(Loaded) << Loaded.status().str();
   EXPECT_EQ(runProgram(*Loaded, 128), Expect);
 }
@@ -302,7 +295,7 @@ TEST(StoreFaults, RenameFailureUnlinksTmpAndRetries) {
   CompiledProgramRef P = makeProgram(*Root);
 
   faults::arm(faults::Point::ArtifactRenameFail, 1);
-  Status St = Guard.store().tryStore(keyFor(P), *P);
+  Status St = Guard.store().store(keyFor(P), *P);
   EXPECT_TRUE(St.isOk()) << St.str();
   EXPECT_EQ(Guard.tmpFileCount(), 0u);
   EXPECT_TRUE(std::filesystem::exists(Guard.store().pathFor(keyFor(P))));
@@ -320,7 +313,7 @@ TEST(StoreFaults, PersistentRenameFailureExhaustsRetriesCleanly) {
   CompiledProgramRef P = makeProgram(*Root);
 
   faults::arm(faults::Point::ArtifactRenameFail, 1, /*Persistent=*/true);
-  Status St = Guard.store().tryStore(keyFor(P), *P);
+  Status St = Guard.store().store(keyFor(P), *P);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::IoError);
   EXPECT_NE(St.message().find("publish artifact"), std::string::npos);
@@ -408,8 +401,8 @@ TEST(StoreMaintenance, TtlExpiresOldArtifacts) {
   StreamPtr RootA = firSourcePipeline({1, 2}, "ttl-a");
   StreamPtr RootB = firSourcePipeline({3, 4, 5}, "ttl-b");
   CompiledProgramRef A = makeProgram(*RootA), B = makeProgram(*RootB);
-  ASSERT_TRUE(Guard.store().tryStore(keyFor(A), *A).isOk());
-  ASSERT_TRUE(Guard.store().tryStore(keyFor(B), *B).isOk());
+  ASSERT_TRUE(Guard.store().store(keyFor(A), *A).isOk());
+  ASSERT_TRUE(Guard.store().store(keyFor(B), *B).isOk());
 
   std::string PathA = Guard.store().pathFor(keyFor(A));
   setFileAge(PathA, 2 * 3600);
@@ -423,8 +416,8 @@ TEST(StoreMaintenance, TtlExpiresOldArtifacts) {
   EXPECT_GT(S.EvictedBytes, 0u);
 
   // The evicted key is a plain miss -> clean recompile territory.
-  EXPECT_FALSE(Guard.store().tryLoad(keyFor(A)));
-  EXPECT_TRUE(Guard.store().tryLoad(keyFor(B)));
+  EXPECT_FALSE(Guard.store().load(keyFor(A)));
+  EXPECT_TRUE(Guard.store().load(keyFor(B)));
 }
 
 TEST(StoreMaintenance, QuotaEvictsOldestFirstAndSparesTheFreshPublish) {
@@ -434,7 +427,7 @@ TEST(StoreMaintenance, QuotaEvictsOldestFirstAndSparesTheFreshPublish) {
   StreamPtr RootB = firSourcePipeline({3, 4, 5}, "quota-b");
   CompiledProgramRef A = makeProgram(*RootA), B = makeProgram(*RootB);
 
-  ASSERT_TRUE(Guard.store().tryStore(keyFor(A), *A).isOk());
+  ASSERT_TRUE(Guard.store().store(keyFor(A), *A).isOk());
   std::string PathA = Guard.store().pathFor(keyFor(A));
   uint64_t SizeA = std::filesystem::file_size(PathA);
   setFileAge(PathA, 3600); // unambiguously the oldest
@@ -442,7 +435,7 @@ TEST(StoreMaintenance, QuotaEvictsOldestFirstAndSparesTheFreshPublish) {
   // Room for one artifact but not two: publishing B must evict A (the
   // oldest) and never the just-published B.
   Guard.store().setMaxBytes(SizeA + SizeA);
-  ASSERT_TRUE(Guard.store().tryStore(keyFor(B), *B).isOk());
+  ASSERT_TRUE(Guard.store().store(keyFor(B), *B).isOk());
 
   EXPECT_FALSE(std::filesystem::exists(PathA));
   EXPECT_TRUE(std::filesystem::exists(Guard.store().pathFor(keyFor(B))));
@@ -452,7 +445,7 @@ TEST(StoreMaintenance, QuotaEvictsOldestFirstAndSparesTheFreshPublish) {
 
   // Evicted key recompiles cleanly (a plain miss, not an error).
   Expected<std::shared_ptr<const CompiledProgram>> Miss =
-      Guard.store().tryLoad(keyFor(A));
+      Guard.store().load(keyFor(A));
   ASSERT_FALSE(Miss);
   EXPECT_EQ(Miss.status().code(), ErrorCode::IoError);
 }
@@ -520,27 +513,100 @@ TEST(PipelineDegrade, PersistentVerifierFailureSurfacesAStatus) {
 }
 
 //===----------------------------------------------------------------------===//
-// Executor front doors: deadlocks as Statuses, seed validation
+// Executor run entries: deadlocks as Statuses, seed validation
 //===----------------------------------------------------------------------===//
+
+/// The three CompiledExecutor run entries, each asked for \p N
+/// observable outputs. runIterations goes in batch-sized steps; the
+/// graphs below produce output every iteration.
+struct RunEntry {
+  const char *Name;
+  Status (*Run)(CompiledExecutor &E, size_t N);
+};
+const RunEntry RunEntries[] = {
+    {"run", [](CompiledExecutor &E, size_t N) { return E.run(N); }},
+    {"runIterations",
+     [](CompiledExecutor &E, size_t N) {
+       while (E.outputsProduced() < N)
+         if (Status St = E.runIterations(E.schedule().BatchIterations);
+             !St.isOk())
+           return St;
+       return Status::ok();
+     }},
+    {"tryRunLatency",
+     [](CompiledExecutor &E, size_t N) { return E.tryRunLatency(N); }},
+};
+
+/// External input -> gain -> FIR(peek 4): the init program fires the
+/// gain 3 times to prime the FIR, so initialization needs 3 input items
+/// and each steady iteration (one output) needs one more.
+StreamPtr initPrimedExternalGraph() {
+  auto P = std::make_unique<Pipeline>("ext-init");
+  P->add(makeGain(0.25));
+  P->add(makeFIR({2, -1, 0.5, 4}, "extfir"));
+  return P;
+}
 
 TEST(ExecutorTry, InputShortfallIsADeadlockStatus) {
   FaultGuard G;
-  StreamPtr Root = externallyDrivenGraph();
+  StreamPtr Root = initPrimedExternalGraph();
   CompiledProgramRef P = makeProgram(*Root);
+  ASSERT_EQ(P->schedule().InitExternalNeed, 3);
 
-  CompiledExecutor E(P);
-  E.provideInput({1, 2, 3});
-  Status St = E.tryRunIterations(64);
-  ASSERT_FALSE(St.isOk());
-  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
-  EXPECT_NE(St.message().find("external input"), std::string::npos);
+  for (const RunEntry &Entry : RunEntries) {
+    SCOPED_TRACE(Entry.Name);
+    // Init-window shortfall: two items cannot prime the FIR.
+    CompiledExecutor Init(P);
+    Init.provideInput({1, 2});
+    Status St = Entry.Run(Init, 8);
+    EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+    EXPECT_NE(St.message().find("deadlocked: initialization needs 3 "
+                                "external input items, have 2"),
+              std::string::npos)
+        << St.str();
+
+    // Steady-state shortfall: init runs, then input runs out after a
+    // few outputs (no batch's worth is ever available).
+    CompiledExecutor Steady(P);
+    Steady.provideInput({1, 2, 3, 4, 5, 6});
+    St = Entry.Run(Steady, 64);
+    EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+    EXPECT_NE(St.message().find("deadlocked: a steady-state iteration "
+                                "needs 1 external input items, have 0"),
+              std::string::npos)
+        << St.str();
+    EXPECT_EQ(Steady.outputsProduced(), 3u);
+  }
 
   ParallelExecutor PE(P, ParallelOptions());
   PE.provideInput({1, 2, 3});
-  Status PSt = PE.tryRunIterations(64);
+  Status PSt = PE.runIterations(64);
   ASSERT_FALSE(PSt.isOk());
   EXPECT_EQ(PSt.code(), ErrorCode::Deadlock);
   EXPECT_NE(PSt.message().find("external input"), std::string::npos);
+}
+
+TEST(ExecutorTry, RunEntriesAreBitIdentical) {
+  // A multi-rate fig 5-1 program, so batch and single-iteration firing
+  // sequences differ in shape but must not differ in values.
+  FaultGuard G;
+  StreamPtr Root = apps::buildRateConvert();
+  CompiledProgramRef P = makeProgram(*Root);
+  const size_t N = 300;
+  std::vector<std::vector<double>> Outs;
+  for (const RunEntry &Entry : RunEntries) {
+    SCOPED_TRACE(Entry.Name);
+    CompiledExecutor E(P);
+    Status St = Entry.Run(E, N);
+    ASSERT_TRUE(St.isOk()) << St.str();
+    std::vector<double> Out =
+        E.printed().empty() ? E.outputSnapshot() : E.printed();
+    ASSERT_GE(Out.size(), N);
+    Out.resize(N);
+    Outs.push_back(std::move(Out));
+  }
+  EXPECT_EQ(Outs[0], Outs[1]);
+  EXPECT_EQ(Outs[0], Outs[2]);
 }
 
 TEST(ExecutorTry, SeedPreconditionsComeBackAsShardAnomalies) {
@@ -555,7 +621,7 @@ TEST(ExecutorTry, SeedPreconditionsComeBackAsShardAnomalies) {
   CompiledProgramRef FB = makeProgram(*Root);
   ASSERT_FALSE(FB->shardInfo().Shardable);
   CompiledExecutor E1(FB);
-  Status St = E1.trySeedSteadyState(8);
+  Status St = E1.seedSteadyState(8);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::ShardAnomaly);
 
@@ -564,15 +630,15 @@ TEST(ExecutorTry, SeedPreconditionsComeBackAsShardAnomalies) {
   CompiledProgramRef P = makeProgram(*Fir);
   ASSERT_TRUE(P->shardInfo().Shardable) << P->shardInfo().Reason;
   CompiledExecutor E2(P);
-  E2.runIterations(4);
-  St = E2.trySeedSteadyState(8);
+  EXPECT_TRUE(E2.runIterations(4).isOk());
+  St = E2.seedSteadyState(8);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::ShardAnomaly);
 
   // The injected corruption fires on an otherwise-valid seed.
   faults::arm(faults::Point::ShardSeedCorrupt, 1);
   CompiledExecutor E3(P);
-  St = E3.trySeedSteadyState(8);
+  St = E3.seedSteadyState(8);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::ShardAnomaly);
   EXPECT_NE(St.message().find("injected"), std::string::npos);
@@ -593,7 +659,7 @@ void expectSeedCorruptFallback(bool Persistent) {
   CompiledExecutor Ref(P);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  Ref.runIterations(Span);
+  EXPECT_TRUE(Ref.runIterations(Span).isOk());
   OpCounts RefOps = ops::counts() - Before;
 
   ParallelOptions PO;
@@ -602,7 +668,7 @@ void expectSeedCorruptFallback(bool Persistent) {
   faults::arm(faults::Point::ShardSeedCorrupt, 1, Persistent);
   ParallelExecutor E(P, PO);
   Before = ops::counts();
-  Status St = E.tryRunIterations(Span);
+  Status St = E.runIterations(Span);
   OpCounts ParOps = ops::counts() - Before;
   ASSERT_TRUE(St.isOk()) << St.str();
   EXPECT_GE(faults::hitCount(faults::Point::ShardSeedCorrupt), 1u);
@@ -635,16 +701,16 @@ TEST(ParallelFallback, NextSpanAfterFallbackContinuesCleanly) {
   ASSERT_TRUE(P->shardInfo().Shardable);
 
   CompiledExecutor Ref(P);
-  Ref.runIterations(240);
+  EXPECT_TRUE(Ref.runIterations(240).isOk());
 
   ParallelOptions PO;
   PO.Workers = 4;
   PO.ShardMinIterations = 2;
   ParallelExecutor E(P, PO);
   faults::arm(faults::Point::ShardSeedCorrupt, 1); // poisons the 1st call
-  ASSERT_TRUE(E.tryRunIterations(120).isOk());
+  ASSERT_TRUE(E.runIterations(120).isOk());
   EXPECT_TRUE(E.lastRunStats().Sequential);
-  ASSERT_TRUE(E.tryRunIterations(120).isOk()); // fault spent: shards again
+  ASSERT_TRUE(E.runIterations(120).isOk()); // fault spent: shards again
   EXPECT_FALSE(E.lastRunStats().Sequential);
   EXPECT_EQ(E.printed(), Ref.printed());
 }
@@ -662,7 +728,7 @@ TEST(ParallelFallback, NativeShardsFallBackBitIdentically) {
     GTEST_SKIP() << Reason;
 
   CompiledExecutor Ref(P);
-  Ref.runIterations(300);
+  EXPECT_TRUE(Ref.runIterations(300).isOk());
 
   ParallelOptions PO;
   PO.Workers = 4;
@@ -673,9 +739,9 @@ TEST(ParallelFallback, NativeShardsFallBackBitIdentically) {
     faults::arm(faults::Point::ShardSeedCorrupt, 1, Persistent);
     ParallelExecutor E(P, PO, M);
     ops::CountingScope Off(false);
-    ASSERT_TRUE(E.tryRunIterations(150).isOk());
+    ASSERT_TRUE(E.runIterations(150).isOk());
     EXPECT_TRUE(E.lastRunStats().Sequential);
-    ASSERT_TRUE(E.tryRunIterations(150).isOk());
+    ASSERT_TRUE(E.runIterations(150).isOk());
     EXPECT_EQ(E.lastRunStats().Sequential, Persistent);
     EXPECT_EQ(E.printed(), Ref.printed());
   }
@@ -693,7 +759,7 @@ TEST(RunDeadlineToken, InjectedHangReturnsTimeout) {
   faults::arm(faults::Point::ExecHang, 1);
   faults::RunDeadline DL = faults::RunDeadline::afterMillis(50);
   CompiledExecutor E(P);
-  Status St = E.tryRun(256, &DL);
+  Status St = E.run(256, &DL);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::Timeout);
 }
@@ -707,7 +773,7 @@ TEST(RunDeadlineToken, CancellationFlagReturnsCancelled) {
   faults::RunDeadline DL;
   DL.setCancelFlag(&Cancel);
   CompiledExecutor E(P);
-  Status St = E.tryRunIterations(64, &DL);
+  Status St = E.runIterations(64, &DL);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::Cancelled);
 }
@@ -718,11 +784,11 @@ TEST(RunDeadlineToken, GenerousDeadlineChangesNothing) {
   CompiledProgramRef P = makeProgram(*Root);
 
   CompiledExecutor Ref(P);
-  Ref.run(128);
+  EXPECT_TRUE(Ref.run(128).isOk());
 
   faults::RunDeadline DL = faults::RunDeadline::afterMillis(60'000);
   CompiledExecutor E(P);
-  ASSERT_TRUE(E.tryRun(128, &DL).isOk());
+  ASSERT_TRUE(E.run(128, &DL).isOk());
   EXPECT_EQ(E.printed(), Ref.printed());
 }
 
@@ -737,7 +803,7 @@ TEST(RunDeadlineToken, ExpiredDeadlineStopsAParallelRun) {
   ParallelOptions PO;
   PO.Workers = 2;
   ParallelExecutor E(P, PO);
-  Status St = E.tryRunIterations(100, &DL);
+  Status St = E.runIterations(100, &DL);
   ASSERT_FALSE(St.isOk());
   EXPECT_EQ(St.code(), ErrorCode::Timeout);
 }
@@ -783,7 +849,7 @@ bool toolchainWorks() {
 std::vector<double> runWithModule(const CompiledProgramRef &P,
                                   codegen::NativeModuleRef M, size_t N) {
   CompiledExecutor E(P, std::move(M));
-  E.run(N);
+  EXPECT_TRUE(E.run(N).isOk());
   std::vector<double> Out =
       E.printed().empty() ? E.outputSnapshot() : E.printed();
   if (Out.size() > N)

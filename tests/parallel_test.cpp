@@ -57,7 +57,7 @@ RefRun referenceRun(CompiledProgramRef P, int64_t Iters,
     E.provideInput(Input);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(Iters);
+  EXPECT_TRUE(E.runIterations(Iters).isOk());
   R.Ops = ops::counts() - Before;
   R.Out = E.outputSnapshot();
   R.Printed = E.printed();
@@ -73,7 +73,7 @@ RefRun parallelRun(CompiledProgramRef P, int64_t Iters, ParallelOptions Opts,
     E.provideInput(Input);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(Iters);
+  EXPECT_TRUE(E.runIterations(Iters).isOk());
   R.Ops = ops::counts() - Before;
   R.Out = E.outputSnapshot();
   R.Printed = E.printed();
@@ -95,7 +95,7 @@ RefRun shardedRun(CompiledProgramRef P, std::vector<int64_t> Spans,
   ops::CountingScope Scope(Counting);
   OpCounts Before = ops::counts();
   for (int64_t Span : Spans)
-    E.runIterations(Span);
+    EXPECT_TRUE(E.runIterations(Span).isOk());
   R.Ops = ops::counts() - Before;
   R.Out = E.outputSnapshot();
   R.Printed = E.printed();
@@ -267,7 +267,10 @@ TEST(ParallelExternalInput, InsufficientInputIsReportedUpFront) {
   CompiledProgramRef P = makeProgram(*Root);
   ParallelExecutor E(P, ParallelOptions());
   E.provideInput({1, 2, 3});
-  EXPECT_DEATH(E.runIterations(64), "external input");
+  Status St = E.runIterations(64);
+  EXPECT_EQ(St.code(), ErrorCode::Deadlock);
+  EXPECT_NE(St.message().find("external input"), std::string::npos)
+      << St.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,8 +297,8 @@ TEST(ParallelContinuation, SplitRunsEqualOneRun) {
   ParallelExecutor E(P, PO);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(S1);
-  E.runIterations(S2);
+  EXPECT_TRUE(E.runIterations(S1).isOk());
+  EXPECT_TRUE(E.runIterations(S2).isOk());
   OpCounts Ops = ops::counts() - Before;
 
   EXPECT_EQ(Ref.Printed, E.printed());
@@ -319,9 +322,9 @@ TEST(ParallelContinuation, SingleShardCallsContinueTheAdoptedTail) {
   ParallelExecutor E(P, PO);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(40);
-  E.runIterations(40);
-  E.runIterations(40);
+  EXPECT_TRUE(E.runIterations(40).isOk());
+  EXPECT_TRUE(E.runIterations(40).isOk());
+  EXPECT_TRUE(E.runIterations(40).isOk());
   OpCounts Ops = ops::counts() - Before;
   EXPECT_EQ(E.lastRunStats().WarmupIterations, 0)
       << "tail continuation must not replay";
@@ -346,8 +349,8 @@ TEST(ParallelContinuation, FanOutAfterACallContinuesTheTailAsShardZero) {
   ParallelExecutor E(P, PO);
   ops::CountingScope Scope;
   OpCounts Before = ops::counts();
-  E.runIterations(60);
-  E.runIterations(150);
+  EXPECT_TRUE(E.runIterations(60).isOk());
+  EXPECT_TRUE(E.runIterations(150).isOk());
   OpCounts Ops = ops::counts() - Before;
   EXPECT_EQ(E.lastRunStats().ShardsUsed, 3);
   EXPECT_EQ(E.lastRunStats().WarmupIterations, (3 - 1) * W);
@@ -360,7 +363,7 @@ TEST(ParallelRunByOutputs, ProbedPrintRatesReachTarget) {
   StreamPtr Root = shardGraphs()[1].Build(); // RateMismatch (print-driven)
   CompiledProgramRef P = makeProgram(*Root);
   ParallelExecutor E(P, ParallelOptions());
-  E.run(100);
+  EXPECT_TRUE(E.run(100).isOk());
   EXPECT_GE(E.outputsProduced(), 100u);
   // Prefix-identical to the engine the shards run on.
   auto Expect = collectOutputs(*Root, 100, Engine::Compiled);
@@ -476,7 +479,7 @@ TEST(ParallelNative, ProgramOnlyConstructorsTakeOnlyAHeldModule) {
   {
     ParallelExecutor E(P, PO);
     EXPECT_EQ(E.nativeModule(), nullptr);
-    E.runIterations(64);
+    EXPECT_TRUE(E.runIterations(64).isOk());
     EXPECT_EQ(E.printed(), referenceRun(P, 64).Printed);
   }
   EXPECT_EQ(C.stats().Compiles, Before.Compiles);
@@ -565,7 +568,7 @@ TEST(ExecutorPool, ConcurrentRequestsMatchSequentialRuns) {
     CompiledExecutor E(P);
     ops::CountingScope Scope;
     OpCounts Before = ops::counts();
-    E.run(96);
+    EXPECT_TRUE(E.run(96).isOk());
     ExpectOps = ops::counts() - Before;
     Expect = E.printed();
   }
@@ -596,7 +599,7 @@ TEST(ConcurrencyStress, ExecutorsAndAnalysesInParallel) {
   CompiledProgramRef P = makeProgram(*Root);
   std::vector<double> Expect = [&] {
     CompiledExecutor E(P);
-    E.run(64);
+    EXPECT_TRUE(E.run(64).isOk());
     return E.printed();
   }();
 
@@ -607,7 +610,7 @@ TEST(ConcurrencyStress, ExecutorsAndAnalysesInParallel) {
       for (int R = 0; R != 3; ++R) {
         // Independent executor instances over the shared artifact.
         CompiledExecutor E(P);
-        E.run(64);
+        EXPECT_TRUE(E.run(64).isOk());
         if (E.printed() != Expect)
           ++Failures;
         // Concurrent compiles through the global caches.

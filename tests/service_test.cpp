@@ -96,7 +96,7 @@ std::vector<double> localReference(const std::string &Name, size_t N,
   Opts.Exec.Eng = Engine::Compiled;
   CompileResult R = compileStream(*Root, Opts);
   CompiledExecutor E(R.Program);
-  E.run(N);
+  EXPECT_TRUE(E.run(N).isOk());
   std::vector<double> Out = R.Program->graph().RootProducesOutput
                                 ? E.outputSnapshot()
                                 : E.printed();

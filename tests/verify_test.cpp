@@ -469,7 +469,7 @@ TEST(StoreInventory, ListArtifactsRoundTripsKeys) {
   CompiledOptions Opts;
   CompiledProgram P(*Root, Opts);
   ArtifactStore::Key K{structuralHash(P.root()), hashOptions(Opts)};
-  ASSERT_TRUE(Store.store(K, P));
+  ASSERT_TRUE(Store.store(K, P).isOk());
 
   std::vector<ArtifactStore::Key> Keys = Store.listArtifacts();
   ASSERT_EQ(Keys.size(), 1u);
@@ -477,10 +477,10 @@ TEST(StoreInventory, ListArtifactsRoundTripsKeys) {
   EXPECT_TRUE(Keys[0].Options == K.Options);
 
   // The listed key loads, and what the store serves lints clean.
-  std::shared_ptr<const CompiledProgram> Loaded = Store.load(Keys[0]);
-  ASSERT_NE(Loaded, nullptr);
-  EXPECT_TRUE(Loaded->loadedFromArtifact());
-  LintReport R = lintProgram(*Loaded);
+  Expected<CompiledProgramRef> Loaded = Store.load(Keys[0]);
+  ASSERT_TRUE(Loaded) << Loaded.status().str();
+  EXPECT_TRUE((*Loaded)->loadedFromArtifact());
+  LintReport R = lintProgram(**Loaded);
   EXPECT_TRUE(R.findings().empty()) << R.text();
 
   std::error_code EC;

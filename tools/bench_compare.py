@@ -4,8 +4,11 @@
 Compares a run's benchmark JSON (written by bench/BenchUtil.h's JsonReport
 into $SLIN_BENCH_DIR) against a committed baseline snapshot and fails when
 any entry's headline wall-clock metric regressed by more than the
-threshold. Entries are matched by (label, engine); the headline metric is
-the first wall-clock field an entry carries, in this preference order:
+threshold. Entries are matched by their identity fields (label, engine,
+workers, taps; a field an entry does not carry matches as absent), so a
+sweep's rows (one per worker count or tap count) each gate on their own.
+The headline metric is the first wall-clock field an entry carries, in
+this preference order:
 
     ns_per_output, p99_ms, p50_ms, ms, warm_ms, cold_ms, seconds
 
@@ -40,6 +43,22 @@ HEADLINE_PREFERENCE = [
 ]
 
 
+IDENTITY_FIELDS = ("label", "engine", "workers", "taps")
+
+
+def identity(entry):
+    return tuple(entry.get(field) for field in IDENTITY_FIELDS)
+
+
+def describe(key):
+    """(label with any workers/taps suffix, engine) for report rows."""
+    label, engine, workers, taps = key
+    for name, value in (("workers", workers), ("taps", taps)):
+        if value is not None:
+            label = f"{label} {name}={value}"
+    return label, engine
+
+
 def headline(entry):
     for key in HEADLINE_PREFERENCE:
         value = entry.get(key)
@@ -53,7 +72,7 @@ def load(path):
         doc = json.load(f)
     entries = {}
     for entry in doc.get("entries", []):
-        entries[(entry.get("label"), entry.get("engine"))] = entry
+        entries[identity(entry)] = entry
     return entries
 
 
@@ -143,7 +162,7 @@ def main():
         base_entries = load(os.path.join(args.baseline_dir, name))
         cur_entries = load(current_path)
         for key in sorted(set(cur_entries) - set(base_entries), key=str):
-            label, engine = key
+            label, engine = describe(key)
             metric, value = headline(cur_entries[key])
             if metric is None:
                 continue  # counters-only entry: would never gate anyway
@@ -153,7 +172,7 @@ def main():
                 f"{'--':>14} {value:>14.3f} {'NEW':>8}  (ungated)"
             )
         for key, base_entry in sorted(base_entries.items(), key=str):
-            label, engine = key
+            label, engine = describe(key)
             metric, base_value = headline(base_entry)
             if metric is None:
                 continue  # counters-only entry: nothing to gate
@@ -187,7 +206,7 @@ def main():
         if name in baseline_files:
             continue
         for key, entry in sorted(load(os.path.join(args.current_dir, name)).items(), key=str):
-            label, engine = key
+            label, engine = describe(key)
             metric, value = headline(entry)
             if metric is None:
                 continue
